@@ -111,18 +111,23 @@ impl std::fmt::Display for ScheduleKind {
 ///
 /// let mut stash = WeightStash::new(vec![0.0f32]);
 /// stash.begin_forward(7);                  // minibatch 7's forward pass
-/// stash.apply_update(|w| w[0] = 1.0);      // other minibatches update…
+/// stash.install(vec![1.0]);                // other minibatches update…
 /// // …but minibatch 7's backward still sees the weights its forward used:
 /// assert_eq!(stash.for_backward(7)[0], 0.0);
 /// assert_eq!(stash.latest()[0], 1.0);
-/// stash.complete_backward(7);
+/// // Once minibatch 7 is done nothing pins version 0: it comes back to
+/// // the caller, who owns it outright.
+/// let retired = std::sync::Arc::try_unwrap(stash.complete_backward(7));
+/// assert_eq!(retired, Ok(vec![0.0]));
 /// ```
 ///
-/// Versions are shared (`Arc`) so stashing is O(1); memory is only paid
-/// when an update creates a new version while old ones are still pinned by
-/// in-flight minibatches — the paper's "at most one version per in-flight
-/// minibatch" bound, which [`WeightStash::versions_held`] exposes for the
-/// memory-footprint experiments.
+/// Versions are shared (`Arc`) so stashing is O(1), and the stash never
+/// clones a `W`: an update hands in the new version the caller built, and
+/// a version nothing pins any more is handed back for reuse. Memory is
+/// paid only while old versions are pinned by in-flight minibatches — the
+/// paper's "at most one version per in-flight minibatch" bound, which
+/// [`WeightStash::versions_held`] exposes for the memory-footprint
+/// experiments.
 #[derive(Debug, Clone)]
 pub struct WeightStash<W> {
     latest: Arc<W>,
@@ -130,7 +135,7 @@ pub struct WeightStash<W> {
     stashed: BTreeMap<u64, (u64, Arc<W>)>,
 }
 
-impl<W: Clone> WeightStash<W> {
+impl<W> WeightStash<W> {
     /// Start at version 0 with the given initial weights.
     pub fn new(initial: W) -> Self {
         WeightStash {
@@ -171,24 +176,27 @@ impl<W: Clone> WeightStash<W> {
             .0
     }
 
-    /// Complete `mb`'s backward pass: drop its stash entry. "Parameters are
-    /// discarded once a backward pass that uses fresher parameters is
-    /// performed" (§4) — with 1F1B's in-order backward passes, dropping at
-    /// backward completion realises exactly that rule.
-    pub fn complete_backward(&mut self, mb: u64) {
+    /// Complete `mb`'s backward pass: drop its stash entry and hand back
+    /// the version it pinned. "Parameters are discarded once a backward
+    /// pass that uses fresher parameters is performed" (§4) — with 1F1B's
+    /// in-order backward passes, dropping at backward completion realises
+    /// exactly that rule. The returned `Arc` is unique (the caller may
+    /// move the weights out) exactly when nothing else — no other
+    /// minibatch, and not the latest slot — still holds that version.
+    pub fn complete_backward(&mut self, mb: u64) -> Arc<W> {
         self.stashed
             .remove(&mb)
-            .unwrap_or_else(|| panic!("no stashed weights for minibatch {mb}"));
+            .unwrap_or_else(|| panic!("no stashed weights for minibatch {mb}"))
+            .1
     }
 
-    /// Apply a weight update, producing a new latest version; returns the
-    /// new version id. Stashed versions are untouched (copy-on-write).
-    pub fn apply_update(&mut self, update: impl FnOnce(&mut W)) -> u64 {
-        // Copy-on-write: clones only if a stash still references the
-        // current version.
-        update(Arc::make_mut(&mut self.latest));
+    /// Install `new` as the latest version (one weight update); stashed
+    /// versions are untouched. Returns the superseded latest if no
+    /// in-flight minibatch pins it, so the caller can reuse its storage.
+    pub fn install(&mut self, new: W) -> Option<W> {
+        let old = std::mem::replace(&mut self.latest, Arc::new(new));
         self.version += 1;
-        self.version
+        Arc::try_unwrap(old).ok()
     }
 
     /// The latest weights (what the next forward pass will use).
@@ -217,27 +225,50 @@ impl<W: Clone> WeightStash<W> {
     }
 }
 
-/// Version store for vertical sync: keeps explicit versions alive while
-/// pinned by in-flight minibatches.
+/// One stage's version store under vertical sync.
 ///
 /// With vertical sync, minibatch `b_i` entering the pipeline is tagged with
 /// the latest version `w^(i−x)` seen at the input stage; every stage then
 /// runs both passes of `b_i` against its *own* copy of that version, and
-/// applies its update independently afterwards (§3.3).
+/// applies its update to its own latest weights afterwards (§3.3).
+///
+/// Tags reach a stage in non-decreasing order, so a version is kept while
+/// it is the latest, or no older than the oldest tag still in flight (or,
+/// with none in flight, the newest tag seen): any later minibatch may
+/// still carry it. Everything older is retired.
+///
+/// ```
+/// use pipedream_core::stash::VersionedStore;
+///
+/// let mut store = VersionedStore::new(0i64);
+/// let w = store.begin_forward(5, 0).unwrap();   // mb 5 tagged with v0
+/// assert_eq!(*w, 0);
+/// drop(w);
+/// store.install(1);                             // this stage's update: v1
+/// store.begin_forward(6, 1).unwrap();           // mb 6 tagged with v1
+/// assert_eq!(store.versions_held(), 2);         // v0 still pinned by mb 5
+/// // No later minibatch can carry tag 0: v0 retires with mb 5's backward.
+/// let pinned = store.complete_backward(5);
+/// assert_eq!(std::sync::Arc::try_unwrap(pinned), Ok(0));
+/// assert_eq!(store.versions_held(), 1);
+/// ```
 #[derive(Debug, Clone)]
 pub struct VersionedStore<W> {
-    versions: BTreeMap<u64, (Arc<W>, usize)>,
+    versions: BTreeMap<u64, Arc<W>>,
     latest: u64,
+    /// Tag pinned by each in-flight minibatch.
+    in_flight: BTreeMap<u64, u64>,
+    newest_tag: u64,
 }
 
-impl<W: Clone> VersionedStore<W> {
+impl<W> VersionedStore<W> {
     /// Start with version 0.
     pub fn new(initial: W) -> Self {
-        let mut versions = BTreeMap::new();
-        versions.insert(0, (Arc::new(initial), 0usize));
         VersionedStore {
-            versions,
+            versions: BTreeMap::from([(0, Arc::new(initial))]),
             latest: 0,
+            in_flight: BTreeMap::new(),
+            newest_tag: 0,
         }
     }
 
@@ -246,62 +277,67 @@ impl<W: Clone> VersionedStore<W> {
         self.latest
     }
 
-    /// Pin `version` for an in-flight minibatch and return its weights.
-    pub fn pin(&mut self, version: u64) -> Arc<W> {
-        let (w, pins) = self
-            .versions
-            .get_mut(&version)
-            .unwrap_or_else(|| panic!("version {version} no longer available"));
-        *pins += 1;
-        Arc::clone(w)
+    /// Begin `mb`'s forward pass under version `tag`: pin it and return
+    /// its weights, or `None` if that version was already retired (a tag
+    /// arriving out of order). Panics if `mb` is already in flight.
+    pub fn begin_forward(&mut self, mb: u64, tag: u64) -> Option<Arc<W>> {
+        let w = Arc::clone(self.versions.get(&tag)?);
+        let prev = self.in_flight.insert(mb, tag);
+        assert!(prev.is_none(), "minibatch {mb} already in flight");
+        self.newest_tag = self.newest_tag.max(tag);
+        self.collect();
+        Some(w)
     }
 
-    /// Read a pinned version without changing its pin count.
-    pub fn get(&self, version: u64) -> Arc<W> {
-        Arc::clone(
-            &self
-                .versions
-                .get(&version)
-                .unwrap_or_else(|| panic!("version {version} no longer available"))
-                .0,
-        )
+    /// The version tag `mb`'s forward pinned, if it is in flight.
+    pub fn version_of(&self, mb: u64) -> Option<u64> {
+        self.in_flight.get(&mb).copied()
     }
 
-    /// Unpin `version`; unpinned non-latest versions are garbage collected.
-    pub fn unpin(&mut self, version: u64) {
-        let remove = {
-            let (_, pins) = self
-                .versions
-                .get_mut(&version)
-                .unwrap_or_else(|| panic!("version {version} no longer available"));
-            assert!(*pins > 0, "unpin of version {version} with no pins");
-            *pins -= 1;
-            *pins == 0 && version != self.latest
-        };
-        if remove {
-            self.versions.remove(&version);
-        }
+    /// Complete `mb`'s backward pass: unpin its version and hand it back.
+    /// The `Arc` is unique exactly when this retired the version.
+    pub fn complete_backward(&mut self, mb: u64) -> Arc<W> {
+        let tag = self
+            .in_flight
+            .remove(&mb)
+            .unwrap_or_else(|| panic!("no pinned version for minibatch {mb}"));
+        let w = Arc::clone(&self.versions[&tag]);
+        self.collect();
+        w
     }
 
-    /// Apply an update on top of `base_version`, creating a new latest
-    /// version; returns its id. (Vertical sync applies each stage's update
-    /// to its own latest weights; gradients were *computed* against the
-    /// pinned version.)
-    pub fn apply_update(&mut self, update: impl FnOnce(&mut W)) -> u64 {
-        let mut w = (*self.versions[&self.latest].0).clone();
-        update(&mut w);
-        let old_latest = self.latest;
+    /// Install `new` as the next latest version (this stage's update);
+    /// returns a superseded version that nothing needs any more.
+    pub fn install(&mut self, new: W) -> Option<W> {
         self.latest += 1;
-        self.versions.insert(self.latest, (Arc::new(w), 0));
-        // The superseded latest can be dropped if nothing pins it.
-        if self
+        self.versions.insert(self.latest, Arc::new(new));
+        self.collect()
+            .into_iter()
+            .find_map(|w| Arc::try_unwrap(w).ok())
+    }
+
+    /// Retire the versions no current or future minibatch can use.
+    fn collect(&mut self) -> Vec<Arc<W>> {
+        let floor = self
+            .in_flight
+            .values()
+            .copied()
+            .min()
+            .unwrap_or(self.newest_tag);
+        let dead: Vec<u64> = self
             .versions
-            .get(&old_latest)
-            .is_some_and(|(_, pins)| *pins == 0)
-        {
-            self.versions.remove(&old_latest);
-        }
-        self.latest
+            .range(..floor)
+            .map(|(&v, _)| v)
+            .filter(|&v| v != self.latest)
+            .collect();
+        dead.iter()
+            .filter_map(|v| self.versions.remove(v))
+            .collect()
+    }
+
+    /// Number of minibatches currently pinning a version.
+    pub fn in_flight(&self) -> usize {
+        self.in_flight.len()
     }
 
     /// Number of versions currently held.
@@ -337,7 +373,7 @@ impl<W: Clone> VersionedStore<W> {
 /// assert_eq!(s.begin_forward(1)[0], 0.0);
 /// s.complete_backward(0);
 /// s.complete_backward(1);
-/// s.apply_update(|w| w[0] = 1.0);               // group 0's update → gen 1
+/// s.install(vec![1.0]);                         // group 0's update → gen 1
 /// assert_eq!(s.begin_forward(2)[0], 0.0);       // group 1 → generation 0
 /// s.complete_backward(2);
 /// assert!(s.versions_held() <= 2);
@@ -350,16 +386,14 @@ pub struct TwoBwStash<W> {
     in_flight: BTreeMap<u64, u64>,
 }
 
-impl<W: Clone> TwoBwStash<W> {
+impl<W> TwoBwStash<W> {
     /// Start at generation 0 with the given initial weights and a group
     /// (gradient-accumulation window) of `group` minibatches.
     pub fn new(group: usize, initial: W) -> Self {
         assert!(group >= 1, "2BW group must hold at least one minibatch");
-        let mut generations = BTreeMap::new();
-        generations.insert(0, Arc::new(initial));
         TwoBwStash {
             group: group as u64,
-            generations,
+            generations: BTreeMap::from([(0, Arc::new(initial))]),
             latest_gen: 0,
             in_flight: BTreeMap::new(),
         }
@@ -398,11 +432,7 @@ impl<W: Clone> TwoBwStash<W> {
     /// The pinned generation's weights for `mb`'s backward pass — the same
     /// version its forward used.
     pub fn for_backward(&self, mb: u64) -> Arc<W> {
-        let g = self
-            .in_flight
-            .get(&mb)
-            .unwrap_or_else(|| panic!("no pinned generation for minibatch {mb}"));
-        Arc::clone(&self.generations[g])
+        Arc::clone(&self.generations[&self.generation_of(mb)])
     }
 
     /// The generation id pinned for `mb`.
@@ -413,34 +443,41 @@ impl<W: Clone> TwoBwStash<W> {
             .unwrap_or_else(|| panic!("no pinned generation for minibatch {mb}"))
     }
 
-    /// Complete `mb`'s backward pass: unpin it and collect generations no
-    /// in-flight minibatch needs any more.
-    pub fn complete_backward(&mut self, mb: u64) {
-        self.in_flight
-            .remove(&mb)
-            .unwrap_or_else(|| panic!("no pinned generation for minibatch {mb}"));
-        self.gc();
+    /// Complete `mb`'s backward pass: unpin it, collect generations no
+    /// in-flight minibatch needs any more, and hand back the generation it
+    /// pinned — a unique `Arc` exactly when this retired it.
+    pub fn complete_backward(&mut self, mb: u64) -> Arc<W> {
+        let w = self.for_backward(mb);
+        self.in_flight.remove(&mb);
+        self.collect();
+        w
     }
 
-    /// Apply one group's accumulated update on the *latest* generation,
-    /// producing a new one; returns the new generation id.
-    pub fn apply_update(&mut self, update: impl FnOnce(&mut W)) -> u64 {
-        let mut w = (*self.generations[&self.latest_gen]).clone();
-        update(&mut w);
+    /// Install one group's update as the new latest generation; returns a
+    /// generation that nothing needs any more, for the caller to reuse.
+    pub fn install(&mut self, new: W) -> Option<W> {
         self.latest_gen += 1;
-        self.generations.insert(self.latest_gen, Arc::new(w));
-        self.gc();
-        self.latest_gen
+        self.generations.insert(self.latest_gen, Arc::new(new));
+        self.collect()
+            .into_iter()
+            .find_map(|w| Arc::try_unwrap(w).ok())
     }
 
-    fn gc(&mut self) {
-        // A generation stays live while it is the latest, still pinned, or
-        // still the double buffer of a future minibatch (>= latest − 1 …
-        // covered by the pin rule since groups admit in order).
-        let pinned: std::collections::BTreeSet<u64> = self.in_flight.values().copied().collect();
+    /// Retire generations that are neither the latest, the double buffer
+    /// behind it, nor pinned by an in-flight minibatch.
+    fn collect(&mut self) -> Vec<Arc<W>> {
         let latest = self.latest_gen;
-        self.generations
-            .retain(|g, _| *g == latest || pinned.contains(g) || *g + 1 == latest);
+        let dead: Vec<u64> = self
+            .generations
+            .keys()
+            .copied()
+            .filter(|&g| {
+                g != latest && g + 1 != latest && !self.in_flight.values().any(|&p| p == g)
+            })
+            .collect();
+        dead.iter()
+            .filter_map(|g| self.generations.remove(g))
+            .collect()
     }
 
     /// The latest weights (what the next group's update builds on).
@@ -500,14 +537,16 @@ pub mod staleness {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+    use std::rc::Rc;
 
     #[test]
     fn backward_sees_forward_version() {
         let mut stash = WeightStash::new(vec![1.0f32]);
         let w_fwd = stash.begin_forward(0);
         // Two updates land while mb 0 is in flight.
-        stash.apply_update(|w| w[0] = 2.0);
-        stash.apply_update(|w| w[0] = 3.0);
+        stash.install(vec![2.0]);
+        stash.install(vec![3.0]);
         let w_bwd = stash.for_backward(0);
         assert_eq!(w_fwd[0], w_bwd[0]);
         assert_eq!(w_bwd[0], 1.0);
@@ -521,7 +560,8 @@ mod tests {
         let mut stash = WeightStash::new(0u64);
         for mb in 0..4 {
             stash.begin_forward(mb);
-            stash.apply_update(|w| *w += 1);
+            let next = *stash.latest() + 1;
+            stash.install(next);
         }
         assert_eq!(stash.in_flight(), 4);
         assert!(stash.versions_held() <= 5);
@@ -568,14 +608,16 @@ mod tests {
         }
         // mb 1's backward completes; its update lands; then mb 5 forward.
         stash.complete_backward(1);
-        stash.apply_update(|w| w.push(1));
+        stash.install(vec![1]);
         let w5 = stash.begin_forward(5);
         assert_eq!(&*w5, &vec![1], "mb 5's forward sees exactly update 1");
         // Stage keeps serving mb 5's backward with that same version even
         // after more updates.
         for mb in 2..=4 {
             stash.complete_backward(mb);
-            stash.apply_update(|w| w.push(mb));
+            let mut w = (*stash.latest()).clone();
+            w.push(mb);
+            stash.install(w);
         }
         assert_eq!(&*stash.for_backward(5), &vec![1]);
         assert_eq!(&*stash.latest(), &vec![1, 2, 3, 4]);
@@ -584,31 +626,108 @@ mod tests {
     #[test]
     fn versioned_store_pins_keep_versions_alive() {
         let mut store = VersionedStore::new(10i64);
-        store.pin(0);
-        let v1 = store.apply_update(|w| *w += 1);
-        assert_eq!(v1, 1);
+        store.begin_forward(0, 0).unwrap();
+        store.install(11);
+        assert_eq!(store.latest_version(), 1);
         assert_eq!(store.versions_held(), 2, "v0 pinned, v1 latest");
-        assert_eq!(*store.get(0), 10);
-        assert_eq!(*store.get(1), 11);
-        store.unpin(0);
-        assert_eq!(store.versions_held(), 1, "v0 collected after unpin");
-    }
-
-    #[test]
-    fn versioned_store_collects_unpinned_superseded_latest() {
-        let mut store = VersionedStore::new(0i64);
-        store.apply_update(|w| *w += 1);
-        store.apply_update(|w| *w += 1);
+        // A later minibatch tagged v1 means no future one can name v0…
+        store.begin_forward(1, 1).unwrap();
+        assert_eq!(store.versions_held(), 2, "…but mb 0 still pins it");
+        assert_eq!(store.version_of(0), Some(0));
+        let v0 = Arc::try_unwrap(store.complete_backward(0));
+        assert_eq!(v0, Ok(10), "v0 retires with its last pin");
         assert_eq!(store.versions_held(), 1);
-        assert_eq!(store.latest_version(), 2);
     }
 
     #[test]
-    #[should_panic(expected = "no longer available")]
-    fn versioned_store_rejects_collected_version() {
+    fn versioned_store_keeps_versions_a_later_tag_may_name() {
         let mut store = VersionedStore::new(0i64);
-        store.apply_update(|w| *w += 1);
-        store.get(0);
+        // Nothing in flight and no tag newer than 0 seen yet: a minibatch
+        // tagged 0, 1 or 2 may still arrive, so nothing retires.
+        assert!(store.install(1).is_none());
+        assert!(store.install(2).is_none());
+        assert_eq!(store.versions_held(), 3);
+        // Tag 2 arrives: versions 0 and 1 can never be named again.
+        let w = store.begin_forward(7, 2).unwrap();
+        assert_eq!(*w, 2);
+        assert_eq!(store.versions_held(), 1);
+        drop(w);
+        drop(store.complete_backward(7));
+        assert_eq!(store.install(3), None, "v2 may still be named");
+        assert_eq!(store.versions_held(), 2);
+    }
+
+    #[test]
+    fn versioned_store_rejects_a_retired_version() {
+        let mut store = VersionedStore::new(0i64);
+        store.install(1);
+        store.begin_forward(0, 1).unwrap();
+        assert!(store.begin_forward(1, 0).is_none(), "v0 was retired");
+    }
+
+    /// A weight version that counts how often it is cloned.
+    #[derive(Debug)]
+    struct Counted {
+        id: u32,
+        clones: Rc<Cell<usize>>,
+    }
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            self.clones.set(self.clones.get() + 1);
+            Counted {
+                id: self.id,
+                clones: Rc::clone(&self.clones),
+            }
+        }
+    }
+
+    #[test]
+    fn weight_stash_installs_without_cloning_and_hands_back_retired() {
+        let clones = Rc::new(Cell::new(0));
+        let w = |id| Counted {
+            id,
+            clones: Rc::clone(&clones),
+        };
+        let mut stash = WeightStash::new(w(0));
+        // Input-stage pattern: a new version lands while older ones are
+        // pinned by in-flight minibatches.
+        stash.begin_forward(0);
+        assert!(stash.install(w(1)).is_none(), "v0 is pinned by mb 0");
+        stash.begin_forward(1);
+        assert!(stash.install(w(2)).is_none(), "v1 is pinned by mb 1");
+        assert_eq!(stash.versions_held(), 3);
+        let v0 = Arc::try_unwrap(stash.complete_backward(0)).expect("nothing else pins v0");
+        assert_eq!(v0.id, 0);
+        // The latest stays shared with the stash after its backward…
+        stash.begin_forward(2);
+        assert!(Arc::try_unwrap(stash.complete_backward(2)).is_err());
+        // …and comes back from the update that supersedes it.
+        assert_eq!(stash.install(w(3)).map(|w| w.id), Some(2));
+        assert_eq!(clones.get(), 0, "the stash never clones a version");
+    }
+
+    #[test]
+    fn two_bw_installs_without_cloning_and_hands_back_retired() {
+        let clones = Rc::new(Cell::new(0));
+        let w = |id| Counted {
+            id,
+            clones: Rc::clone(&clones),
+        };
+        let mut s = TwoBwStash::new(2, w(0));
+        s.begin_forward(0);
+        s.begin_forward(1);
+        drop(s.complete_backward(0));
+        drop(s.complete_backward(1));
+        assert!(s.install(w(1)).is_none(), "gen 0 is the double buffer");
+        s.begin_forward(2); // group 1 runs against generation 0
+        assert!(s.install(w(2)).is_none(), "gen 0 is pinned by mb 2");
+        let g0 = Arc::try_unwrap(s.complete_backward(2)).expect("gen 0 retires with mb 2");
+        assert_eq!(g0.id, 0);
+        // Generation 1 falls out of the double buffer unpinned.
+        assert_eq!(s.install(w(3)).map(|w| w.id), Some(1));
+        assert_eq!(s.versions_held(), 2);
+        assert_eq!(clones.get(), 0, "the 2BW store never clones a generation");
     }
 
     #[test]
@@ -666,7 +785,9 @@ mod tests {
                 next_bwd += 1;
                 if next_bwd.is_multiple_of(4) {
                     let g = next_bwd / 4 - 1;
-                    s.apply_update(|w| w.push(g));
+                    let mut w = (*s.latest()).clone();
+                    w.push(g);
+                    s.install(w);
                 }
             }
             max_held = max_held.max(s.versions_held());
@@ -691,8 +812,8 @@ mod tests {
                 assert_eq!(*pinned, group.saturating_sub(1) as i64 * 10);
                 s.complete_backward(mb);
             }
-            let g = s.apply_update(|w| *w += 10);
-            assert_eq!(g, group + 1);
+            s.install(*s.latest() + 10);
+            assert_eq!(s.latest_generation(), group + 1);
         }
     }
 

@@ -193,7 +193,7 @@ pub fn train_asp(
                 for round in 0..rounds_per_epoch {
                     let i = round * workers + w;
                     // Pull the current (possibly mid-update) weights.
-                    model.restore(&shared.lock().clone());
+                    model.restore(&shared.lock());
                     let (x, y) = dataset.minibatch(i, opts.batch);
                     let out = model.forward(&x, i as u64);
                     let loss = softmax_cross_entropy(&out, &y);
@@ -220,7 +220,7 @@ pub fn train_asp(
         h.join().expect("ASP worker panicked");
     }
     let mut model = model;
-    model.restore(&shared.lock().clone());
+    model.restore(&shared.lock());
     let per_epoch = stats
         .lock()
         .iter()

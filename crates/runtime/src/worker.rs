@@ -25,7 +25,7 @@ use crate::sync::GradSyncGroup;
 use crate::trainer::{LrSchedule, OptimKind, Semantics};
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use pipedream_core::schedule::Op;
-use pipedream_core::stash::{ScheduleKind, TwoBwStash, WeightStash};
+use pipedream_core::stash::{ScheduleKind, TwoBwStash, VersionedStore, WeightStash};
 use pipedream_obs::{Recorder, SpanKind};
 use pipedream_tensor::{softmax_cross_entropy, Layer, Sequential, Tensor};
 use std::collections::HashMap;
@@ -110,25 +110,31 @@ pub struct StageWorker {
     pub kernel: pipedream_tensor::gemm::Backend,
 }
 
+/// The weight versions a stage keeps besides the live weights in its
+/// model, which are always the latest version. Each store holds its own
+/// copy of the latest, made at each update (§3.3's one copy per update),
+/// and pins older versions for in-flight minibatches.
+enum Versions {
+    /// Stashed semantics: one version per in-flight minibatch.
+    Stash(WeightStash<Vec<Tensor>>),
+    /// Stashed semantics under 2BW: double-buffered generations.
+    TwoBw(TwoBwStash<Vec<Tensor>>),
+    /// Vertical sync: versions named by the input stage's tags.
+    Vertical(VersionedStore<Vec<Tensor>>),
+    /// Naive and GPipe: the live weights are the only version.
+    Live,
+}
+
 /// Per-run mutable state.
 struct WorkerState {
     optimizer: Box<dyn pipedream_tensor::Optimizer>,
-    /// Stash of weight snapshots per in-flight minibatch (Stashed mode).
-    stash: WeightStash<Vec<Tensor>>,
-    /// 2BW double-buffered generation store (replaces `stash` when the
-    /// schedule kind uses 2BW under Stashed semantics).
-    two_bw: Option<TwoBwStash<Vec<Tensor>>>,
+    /// Older weight versions pinned by in-flight minibatches.
+    versions: Versions,
     /// Backward passes accumulated into the current 2BW group.
     two_bw_grads: u32,
     /// Recompute: retained stage inputs per in-flight minibatch — the only
     /// activation state kept between a minibatch's forward and backward.
     saved_inputs: HashMap<u64, Tensor>,
-    /// Vertical sync: retained versions — version id → weights, plus the
-    /// highest tag seen (tags are non-decreasing, so older versions can be
-    /// dropped once a newer tag appears).
-    versions: HashMap<u64, Vec<Tensor>>,
-    /// Vertical sync: version tag each in-flight minibatch's forward used.
-    mb_version_tags: HashMap<u64, u64>,
     /// Loss gradients awaiting the backward op (output stage only).
     pending_loss_grad: HashMap<u64, Tensor>,
     /// Buffered out-of-order arrivals.
@@ -204,15 +210,21 @@ impl StageWorker {
 
     fn run_inner(mut self) -> Result<Sequential, WorkerError> {
         pipedream_tensor::gemm::set_thread_backend(self.kernel);
+        self.model.zero_grad();
         let mut st = WorkerState {
             optimizer: self.optim.build(),
-            stash: WeightStash::new(self.model.snapshot()),
-            two_bw: (self.schedule_kind.uses_two_bw() && self.semantics == Semantics::Stashed)
-                .then(|| TwoBwStash::new(self.two_bw_group as usize, self.model.snapshot())),
+            versions: match self.semantics {
+                Semantics::Stashed if self.schedule_kind.uses_two_bw() => Versions::TwoBw(
+                    TwoBwStash::new(self.two_bw_group as usize, self.model.snapshot()),
+                ),
+                Semantics::Stashed => Versions::Stash(WeightStash::new(self.model.snapshot())),
+                Semantics::VerticalSync => {
+                    Versions::Vertical(VersionedStore::new(self.model.snapshot()))
+                }
+                Semantics::Naive | Semantics::GPipe { .. } => Versions::Live,
+            },
             two_bw_grads: 0,
             saved_inputs: HashMap::new(),
-            versions: HashMap::from([(0, self.model.snapshot())]),
-            mb_version_tags: HashMap::new(),
             pending_loss_grad: HashMap::new(),
             act_buffer: HashMap::new(),
             grad_buffer: HashMap::new(),
@@ -489,91 +501,58 @@ impl StageWorker {
             }
         };
 
-        // Select the weight version for this forward pass. Under 2BW the
-        // pinned generation may trail the model's latest weights; the pass
-        // runs under the pinned version and the latest are put back after.
-        let mut restore_after: Option<Vec<Tensor>> = None;
-        match self.semantics {
-            Semantics::Stashed if st.two_bw.is_some() => {
-                let (pinned, gen, in_flight, held, latest_gen) = {
-                    let s2 = st.two_bw.as_mut().expect("checked");
-                    let pinned = s2.begin_forward(mb);
-                    (
-                        pinned,
-                        s2.generation_of(mb),
-                        s2.in_flight(),
-                        s2.versions_held(),
-                        s2.latest_generation(),
-                    )
-                };
+        // Select the weight version for this forward pass: `None` is the
+        // latest, which the model already holds.
+        let (pinned, version) = match &mut st.versions {
+            Versions::TwoBw(s2) => {
+                let w = s2.begin_forward(mb);
+                let gen = s2.generation_of(mb);
+                st.stash_depth_max = st.stash_depth_max.max(s2.in_flight());
+                st.versions_held_max = st.versions_held_max.max(s2.versions_held());
                 self.recorder
                     .instant_in_epoch(SpanKind::StashPush { mb }, self.trace_epoch(mb));
-                st.stash_depth_max = st.stash_depth_max.max(in_flight);
-                st.versions_held_max = st.versions_held_max.max(held);
-                if gen != latest_gen {
-                    restore_after = Some(self.model.snapshot());
-                    self.model.restore(&pinned);
-                }
-                let _ = self.metrics.send(MetricMsg::FwdVersion {
-                    stage: self.stage,
-                    mb,
-                    version: gen,
-                });
+                ((gen != s2.latest_generation()).then_some(w), gen)
             }
-            Semantics::Stashed => {
+            Versions::Stash(stash) => {
                 // Latest weights; remember them for the backward pass.
-                st.stash.begin_forward(mb);
+                stash.begin_forward(mb);
+                st.stash_depth_max = st.stash_depth_max.max(stash.in_flight());
+                st.versions_held_max = st.versions_held_max.max(stash.versions_held());
                 self.recorder
                     .instant_in_epoch(SpanKind::StashPush { mb }, self.trace_epoch(mb));
-                st.stash_depth_max = st.stash_depth_max.max(st.stash.in_flight());
-                st.versions_held_max = st.versions_held_max.max(st.stash.versions_held());
-                let _ = self.metrics.send(MetricMsg::FwdVersion {
-                    stage: self.stage,
-                    mb,
-                    version: st.stash.version(),
-                });
+                (None, stash.version())
             }
-            Semantics::VerticalSync => {
+            Versions::Vertical(store) => {
                 if self.stage == 0 {
-                    version_tag = st.updates;
+                    version_tag = store.latest_version();
                 }
-                // Use the tagged version; garbage-collect versions no
-                // in-flight minibatch can still need (the minimum
-                // outstanding tag — tags are non-decreasing in minibatch
-                // order, but older minibatches may still be in flight).
-                let w = st
-                    .versions
-                    .get(&version_tag)
-                    .ok_or(WorkerError::VersionMissing {
-                        stage: self.stage,
-                        mb,
-                        version: version_tag,
-                    })?
-                    .clone();
-                st.mb_version_tags.insert(mb, version_tag);
-                let min_needed = *st.mb_version_tags.values().min().expect("just inserted");
-                st.versions
-                    .retain(|&v, _| v >= min_needed || v == st.updates);
-                st.stash_depth_max = st.stash_depth_max.max(st.mb_version_tags.len());
-                st.versions_held_max = st.versions_held_max.max(st.versions.len());
-                self.model.restore(&w);
-                let _ = self.metrics.send(MetricMsg::FwdVersion {
-                    stage: self.stage,
-                    mb,
-                    version: version_tag,
-                });
+                // Every stage runs the minibatch under the version the
+                // input stage tagged it with.
+                let w =
+                    store
+                        .begin_forward(mb, version_tag)
+                        .ok_or(WorkerError::VersionMissing {
+                            stage: self.stage,
+                            mb,
+                            version: version_tag,
+                        })?;
+                st.stash_depth_max = st.stash_depth_max.max(store.in_flight());
+                st.versions_held_max = st.versions_held_max.max(store.versions_held());
+                (
+                    (version_tag != store.latest_version()).then_some(w),
+                    version_tag,
+                )
             }
-            Semantics::Naive | Semantics::GPipe { .. } => {
-                let _ = self.metrics.send(MetricMsg::FwdVersion {
-                    stage: self.stage,
-                    mb,
-                    version: st.updates,
-                });
-            }
-        }
+            Versions::Live => (None, st.updates),
+        };
+        let _ = self.metrics.send(MetricMsg::FwdVersion {
+            stage: self.stage,
+            mb,
+            version,
+        });
 
-        let out = self.model.forward(&input, mb);
-        if self.schedule_kind.uses_recompute() && self.semantics == Semantics::Stashed {
+        let out = self.under_version(pinned, |w| w.model.forward(&input, mb));
+        if self.recomputes() {
             // Drop the per-layer activation stash now; only the stage
             // input is retained, from which a second forward pass rebuilds
             // the stash right before this minibatch's backward.
@@ -583,12 +562,6 @@ impl StageWorker {
             // The stage's layers saved their own copies; the inbound
             // activation (or dataset minibatch) is dead — pool its buffer.
             input.recycle();
-        }
-        if let Some(latest) = restore_after.take() {
-            self.model.restore(&latest);
-            for t in latest {
-                t.recycle();
-            }
         }
         st.activation_bytes_max = st.activation_bytes_max.max(self.live_activation_bytes(st));
 
@@ -663,36 +636,58 @@ impl StageWorker {
         };
 
         // Run the backward pass against the weight version the paper's
-        // semantics prescribe.
-        let grad_in = match self.semantics {
-            Semantics::Stashed if st.two_bw.is_some() => {
-                // 2BW: backward under the pinned double-buffered
-                // generation, accumulating the group's gradients; one
-                // update per *full* group (a partial trailing group's
-                // gradients are discarded, like data ending mid-group).
-                let latest = self.model.snapshot();
-                let (pinned, stale) = {
-                    let s2 = st.two_bw.as_ref().expect("checked");
-                    (
-                        s2.for_backward(mb),
-                        s2.latest_generation().saturating_sub(s2.generation_of(mb)),
-                    )
-                };
-                st.staleness_max = st.staleness_max.max(stale);
-                self.model.restore(&pinned);
-                if st.two_bw_grads == 0 {
-                    self.model.zero_grad();
-                }
-                self.recompute_forward(st, mb);
-                let g = self.model.backward(&grad_out, mb);
-                st.two_bw.as_mut().expect("checked").complete_backward(mb);
+        // semantics prescribe: the one this minibatch's forward used.
+        let pinned = match &mut st.versions {
+            Versions::TwoBw(s2) => {
+                let (gen, latest) = (s2.generation_of(mb), s2.latest_generation());
+                st.staleness_max = st.staleness_max.max(latest.saturating_sub(gen));
+                let w = s2.complete_backward(mb);
                 self.recorder
                     .instant_in_epoch(SpanKind::StashPop { mb }, self.trace_epoch(mb));
+                (gen != latest).then_some(w)
+            }
+            Versions::Stash(stash) => {
+                // Staleness this minibatch saw: updates applied since its
+                // forward pinned a version (§3.3: `n − 1 − stage` in
+                // steady state).
+                let version = stash.version_for(mb);
+                st.staleness_max = st
+                    .staleness_max
+                    .max(stash.version().saturating_sub(version));
+                let w = stash.complete_backward(mb);
+                self.recorder
+                    .instant_in_epoch(SpanKind::StashPop { mb }, self.trace_epoch(mb));
+                (version != stash.version()).then_some(w)
+            }
+            Versions::Vertical(store) => {
+                let tag = store.version_of(mb).ok_or(WorkerError::VersionMissing {
+                    stage: self.stage,
+                    mb,
+                    version: st.updates,
+                })?;
+                st.staleness_max = st
+                    .staleness_max
+                    .max(store.latest_version().saturating_sub(tag));
+                let w = store.complete_backward(mb);
+                (tag != store.latest_version()).then_some(w)
+            }
+            // Naive: invalid gradients — backward with whatever the
+            // weights are *now*, which generally differ from the
+            // forward's. GPipe: weights only change at flushes.
+            Versions::Live => None,
+        };
+        // Gradients are zero here: the worker clears them once at start
+        // and every optimizer step leaves them cleared; GPipe and 2BW
+        // accumulate across the minibatches between their updates.
+        let grad_in = self.under_version(pinned, |w| {
+            w.recompute_forward(st, mb);
+            w.model.backward(&grad_out, mb)
+        });
+        match (&st.versions, self.semantics) {
+            (Versions::TwoBw(_), _) => {
+                // One update per *full* group (a partial trailing group's
+                // gradients are discarded, like data ending mid-group).
                 st.two_bw_grads += 1;
-                self.model.restore(&latest);
-                for t in latest {
-                    t.recycle();
-                }
                 // Group end for this replica: its next backward minibatch
                 // falls in a later group, or past the end of the run.
                 let group = self.two_bw_group;
@@ -707,66 +702,11 @@ impl StageWorker {
                     }
                     st.two_bw_grads = 0;
                 }
-                g
             }
-            Semantics::Stashed => {
-                // Backward with the stashed version, update the latest.
-                let latest = self.model.snapshot();
-                let stashed = st.stash.for_backward(mb);
-                // Staleness this minibatch saw: updates applied since its
-                // forward pinned a version (§3.3: `n − 1 − stage` in
-                // steady state).
-                st.staleness_max = st
-                    .staleness_max
-                    .max(st.updates.saturating_sub(st.stash.version_for(mb)));
-                self.model.restore(&stashed);
-                self.model.zero_grad();
-                self.recompute_forward(st, mb);
-                let g = self.model.backward(&grad_out, mb);
-                st.stash.complete_backward(mb);
-                self.recorder
-                    .instant_in_epoch(SpanKind::StashPop { mb }, self.trace_epoch(mb));
-                self.model.restore(&latest);
-                for t in latest {
-                    t.recycle();
-                }
-                self.apply_update(st, mb)?;
-                g
-            }
-            Semantics::VerticalSync => {
-                let latest = self.model.snapshot();
-                let tagged =
-                    self.version_for_backward(st, mb)
-                        .ok_or(WorkerError::VersionMissing {
-                            stage: self.stage,
-                            mb,
-                            version: st.updates,
-                        })?;
-                self.model.restore(&tagged);
-                self.model.zero_grad();
-                let g = self.model.backward(&grad_out, mb);
-                self.model.restore(&latest);
-                for t in latest {
-                    t.recycle();
-                }
-                self.apply_update(st, mb)?;
-                g
-            }
-            Semantics::Naive => {
-                // Invalid gradients: backward with whatever the weights are
-                // *now*, which generally differ from the forward's.
-                self.model.zero_grad();
-                let g = self.model.backward(&grad_out, mb);
-                self.apply_update(st, mb)?;
-                g
-            }
-            Semantics::GPipe { .. } => {
-                // Accumulate gradients; the flush applies them.
-                let g = self.model.backward(&grad_out, mb);
-                st.since_flush += 1;
-                g
-            }
-        };
+            // GPipe: the flush applies the accumulated gradients.
+            (_, Semantics::GPipe { .. }) => st.since_flush += 1,
+            _ => self.apply_update(st, mb)?,
+        }
         // Layers saved what they needed during forward; the inbound
         // gradient is dead after the backward pass.
         grad_out.recycle();
@@ -850,7 +790,7 @@ impl StageWorker {
     /// restored stashed weight version — so the subsequent backward is
     /// bit-identical to vanilla. No-op otherwise.
     fn recompute_forward(&mut self, st: &mut WorkerState, mb: u64) {
-        if !self.schedule_kind.uses_recompute() {
+        if !self.recomputes() {
             return;
         }
         let input = st
@@ -868,16 +808,31 @@ impl StageWorker {
         st.activation_bytes_max = st.activation_bytes_max.max(self.live_activation_bytes(st));
     }
 
-    /// Vertical sync: the version tagged for `mb`'s backward is the same
-    /// one its forward used. The forward retained it in `versions`; look it
-    /// up by replaying the tag (the forward recorded it via metrics, but
-    /// the worker also keeps it implicitly: the version still retained with
-    /// the largest id ≤ all later tags). To keep this O(1) we simply keep a
-    /// per-minibatch tag map.
-    fn version_for_backward(&self, st: &mut WorkerState, mb: u64) -> Option<Vec<Tensor>> {
-        let tag = st.mb_version_tags.remove(&mb)?;
-        st.staleness_max = st.staleness_max.max(st.updates.saturating_sub(tag));
-        st.versions.get(&tag).cloned()
+    /// Does this worker drop activations after the forward pass and
+    /// rebuild them before the backward?
+    fn recomputes(&self) -> bool {
+        self.schedule_kind.uses_recompute() && self.semantics == Semantics::Stashed
+    }
+
+    /// Run `pass` with the model under weight version `version` (`None`:
+    /// the latest, which the model holds). A version nothing else pins is
+    /// swapped in and back out — O(#params), no element copied; a version
+    /// still shared is copied once. Either way the buffers that come back
+    /// are dead afterwards and return to the pool.
+    fn under_version<R>(
+        &mut self,
+        version: Option<Arc<Vec<Tensor>>>,
+        pass: impl FnOnce(&mut Self) -> R,
+    ) -> R {
+        let Some(version) = version else {
+            return pass(self);
+        };
+        let mut held = Arc::try_unwrap(version).unwrap_or_else(|shared| (*shared).clone());
+        self.model.swap_params(&mut held);
+        let out = pass(self);
+        self.model.swap_params(&mut held);
+        held.into_iter().for_each(Tensor::recycle);
+        out
     }
 
     /// Average gradients across replicas (if replicated), then apply the
@@ -914,21 +869,20 @@ impl StageWorker {
         let mut params = self.model.params_mut();
         st.optimizer.step(&mut params);
         st.updates += 1;
-        match self.semantics {
-            Semantics::Stashed => {
-                let snap = self.model.snapshot();
-                if let Some(s2) = st.two_bw.as_mut() {
-                    s2.apply_update(|w| *w = snap);
-                    st.versions_held_max = st.versions_held_max.max(s2.versions_held());
-                } else {
-                    st.stash.apply_update(|w| *w = snap);
-                }
+        // The new latest version is the one full copy per update: the
+        // store keeps it while the model's weights move on, and older
+        // versions stay pinned for in-flight minibatches.
+        let retired = match &mut st.versions {
+            Versions::Stash(stash) => stash.install(self.model.snapshot()),
+            Versions::TwoBw(s2) => {
+                let retired = s2.install(self.model.snapshot());
+                st.versions_held_max = st.versions_held_max.max(s2.versions_held());
+                retired
             }
-            Semantics::VerticalSync => {
-                st.versions.insert(st.updates, self.model.snapshot());
-            }
-            _ => {}
-        }
+            Versions::Vertical(store) => store.install(self.model.snapshot()),
+            Versions::Live => None,
+        };
+        retired.into_iter().flatten().for_each(Tensor::recycle);
         self.recorder
             .end_in_epoch(opt_span, SpanKind::OptStep { mb }, epoch);
         Ok(())

@@ -131,6 +131,22 @@ pub trait Layer: Send {
     /// across data-parallel workers.
     fn clone_box(&self) -> Box<dyn Layer>;
 
+    /// Exchange the parameter values with `values` in O(#params): buffers
+    /// trade places and no element is copied, so swapping twice puts
+    /// everything back. The runtime switches weight versions this way.
+    fn swap_params(&mut self, values: &mut [Tensor]) {
+        let mut params = self.params_mut();
+        assert_eq!(
+            params.len(),
+            values.len(),
+            "version/parameter count mismatch"
+        );
+        for (p, v) in params.iter_mut().zip(values.iter_mut()) {
+            assert_eq!(p.value.shape(), v.shape(), "version shape mismatch");
+            std::mem::swap(&mut p.value, v);
+        }
+    }
+
     /// Restore parameter values from a snapshot taken with [`Layer::snapshot`].
     fn restore(&mut self, snapshot: &[Tensor]) {
         let mut params = self.params_mut();
@@ -401,6 +417,33 @@ mod tests {
         for (p, s) in m.params().iter().zip(snap.iter()) {
             assert_eq!(&p.value, s);
         }
+    }
+
+    #[test]
+    fn swap_params_exchanges_buffers_without_copying() {
+        let mut m = tiny_mlp();
+        let before = m.snapshot();
+        let mut other: Vec<Tensor> = before
+            .iter()
+            .map(|t| Tensor::full(t.shape(), 9.0))
+            .collect();
+        let ptrs: Vec<*const f32> = other.iter().map(|t| t.data().as_ptr()).collect();
+        m.swap_params(&mut other);
+        // The model now owns the very buffers it was handed…
+        for (p, ptr) in m.params().iter().zip(&ptrs) {
+            assert_eq!(p.value.data().as_ptr(), *ptr);
+            assert!(p.value.data().iter().all(|&x| x == 9.0));
+        }
+        assert_eq!(other, before, "and the caller holds the old values");
+        // …and a second swap restores the original state.
+        m.swap_params(&mut other);
+        assert_eq!(m.snapshot(), before);
+    }
+
+    #[test]
+    #[should_panic(expected = "version/parameter count mismatch")]
+    fn swap_params_rejects_a_foreign_version() {
+        tiny_mlp().swap_params(&mut [Tensor::zeros(&[1])]);
     }
 
     #[test]

@@ -45,6 +45,36 @@ impl Sgd {
     }
 }
 
+/// One SGD step over one parameter in a single pass, doing per element
+/// exactly what the tensor-level sequence does — `g += wd·θ`, `v ← μv`,
+/// `v += 1·g`, `θ += (−lr)·v` (or `θ += (−lr)·g` without momentum), then
+/// `g ← 0` — so results are bit-identical to it. The flags are constants
+/// so every variant compiles to a branch-free loop.
+fn sgd_pass<const MOMENTUM: bool, const DECAY: bool>(
+    w: &mut [f32],
+    g: &mut [f32],
+    v: &mut [f32],
+    lr: f32,
+    mu: f32,
+    wd: f32,
+) {
+    for ((w, g), v) in w.iter_mut().zip(g.iter_mut()).zip(v.iter_mut()) {
+        let mut gi = *g;
+        if DECAY {
+            gi += wd * *w;
+        }
+        if MOMENTUM {
+            let mut vi = *v * mu;
+            vi += 1.0 * gi;
+            *v = vi;
+            *w += -lr * vi;
+        } else {
+            *w += -lr * gi;
+        }
+        *g = 0.0;
+    }
+}
+
 impl Optimizer for Sgd {
     fn step(&mut self, params: &mut [&mut Param]) {
         if self.velocity.is_empty() {
@@ -58,22 +88,18 @@ impl Optimizer for Sgd {
             params.len(),
             "optimizer bound to a different parameter list"
         );
+        let (lr, mu, wd) = (self.lr, self.momentum, self.weight_decay);
         for (p, v) in params.iter_mut().zip(self.velocity.iter_mut()) {
-            // Weight decay folds into the gradient buffer, which is about
-            // to be zeroed anyway — the whole step allocates nothing.
-            if self.weight_decay != 0.0 {
-                p.grad.axpy(self.weight_decay, &p.value);
+            let Param { value, grad, .. } = &mut **p;
+            assert_eq!(value.shape(), grad.shape(), "gradient shape mismatch");
+            assert_eq!(value.shape(), v.shape(), "velocity shape mismatch");
+            let (w, g, v) = (value.data_mut(), grad.data_mut(), v.data_mut());
+            match (mu != 0.0, wd != 0.0) {
+                (true, true) => sgd_pass::<true, true>(w, g, v, lr, mu, wd),
+                (true, false) => sgd_pass::<true, false>(w, g, v, lr, mu, wd),
+                (false, true) => sgd_pass::<false, true>(w, g, v, lr, mu, wd),
+                (false, false) => sgd_pass::<false, false>(w, g, v, lr, mu, wd),
             }
-            if self.momentum != 0.0 {
-                // v ← μv + g ; θ ← θ − lr·v
-                v.scale_inplace(self.momentum);
-                v.axpy(1.0, &p.grad);
-                p.value.axpy(-self.lr, v);
-            } else {
-                let Param { value, grad, .. } = &mut **p;
-                value.axpy(-self.lr, grad);
-            }
-            p.zero_grad();
         }
     }
 
@@ -194,6 +220,66 @@ mod tests {
         let mut opt = Sgd::with_momentum(0.1, 0.0, 0.5);
         opt.step(&mut [&mut p]);
         assert!((p.value.data()[0] - 0.95).abs() < 1e-6);
+    }
+
+    /// The tensor-level SGD sequence the fused step must reproduce.
+    fn unfused_sgd_step(p: &mut Param, v: &mut Tensor, lr: f32, mu: f32, wd: f32) {
+        if wd != 0.0 {
+            p.grad.axpy(wd, &p.value);
+        }
+        if mu != 0.0 {
+            v.scale_inplace(mu);
+            v.axpy(1.0, &p.grad);
+            p.value.axpy(-lr, v);
+        } else {
+            let Param { value, grad, .. } = p;
+            value.axpy(-lr, grad);
+        }
+        p.zero_grad();
+    }
+
+    #[test]
+    fn fused_sgd_step_is_bitwise_the_unfused_sequence() {
+        use crate::init::{normal, rng};
+        for (mu, wd) in [(0.0, 0.0), (0.9, 0.0), (0.0, 1e-3), (0.9, 5e-4)] {
+            let mut r = rng(7);
+            let mut fused = [
+                Param::new("w", normal(&[37, 11], 1.0, &mut r)),
+                Param::new("b", normal(&[11], 1.0, &mut r)),
+            ];
+            let mut reference = fused.clone();
+            let mut velocity: Vec<Tensor> = fused
+                .iter()
+                .map(|p| Tensor::zeros(p.value.shape()))
+                .collect();
+            let mut opt = Sgd::with_momentum(0.05, mu, wd);
+            for step in 0..5 {
+                for (a, b) in fused.iter_mut().zip(reference.iter_mut()) {
+                    let g = normal(a.value.shape(), 1.0, &mut r);
+                    a.grad.copy_from(&g);
+                    b.grad.copy_from(&g);
+                }
+                let mut refs: Vec<&mut Param> = fused.iter_mut().collect();
+                opt.step(&mut refs);
+                for (p, v) in reference.iter_mut().zip(velocity.iter_mut()) {
+                    unfused_sgd_step(p, v, 0.05, mu, wd);
+                }
+                for (a, b) in fused.iter().zip(reference.iter()) {
+                    let bits =
+                        |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(&a.value),
+                        bits(&b.value),
+                        "mu {mu} wd {wd}: {} diverged at step {step}",
+                        a.name
+                    );
+                    assert!(a.grad.data().iter().all(|&g| g == 0.0), "step zeroes grads");
+                }
+                for (a, b) in opt.velocity.iter().zip(velocity.iter()) {
+                    assert_eq!(a, b, "mu {mu} wd {wd}: velocity at step {step}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -92,7 +92,8 @@ proptest! {
                     stash.complete_backward(mb);
                 }
                 _ => {
-                    stash.apply_update(|w| *w += 1);
+                    let next = *stash.latest() + 1;
+                    stash.install(next);
                 }
             }
             // Memory bound: versions held ≤ in-flight + 1 (§3.3).
