@@ -38,7 +38,6 @@ fn opts() -> TrainOpts {
         checkpoint_every: None,
         resume: false,
         depth: None,
-        trace: false,
         obs: None,
         ..TrainOpts::default()
     }

@@ -11,6 +11,7 @@
 //! CI's `bench-smoke` job runs this and uploads the JSON as an artifact,
 //! so kernel regressions show up as a diffable number per commit.
 
+use pipedream_bench::util::time_ms;
 use pipedream_core::PipelineConfig;
 use pipedream_runtime::trainer::train_pipeline;
 use pipedream_runtime::TrainOpts;
@@ -19,7 +20,6 @@ use pipedream_tensor::init::{normal, rng};
 use pipedream_tensor::layers::{conv2d_direct, Conv2d, Linear, Tanh};
 use pipedream_tensor::{Layer, Sequential};
 use serde::Serialize;
-use std::time::Instant;
 
 #[derive(Serialize)]
 struct KernelResult {
@@ -33,22 +33,6 @@ struct KernelResult {
 struct BenchReport {
     kernels: Vec<KernelResult>,
     pipeline_step_ms: f64,
-}
-
-/// Median of `iters` timed runs of `f`, in milliseconds.
-fn time_ms(iters: usize, mut f: impl FnMut()) -> f64 {
-    f(); // warm-up: populates the buffer pool and the branch predictor
-    let mut samples: Vec<f64> = (0..iters)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    // Minimum, not mean: this is the noise-robust estimator for a
-    // single-core microbenchmark on shared hardware.
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    samples[0]
 }
 
 fn bench_matmul_256() -> KernelResult {

@@ -14,6 +14,7 @@
 //! the record-side number is what keeps the <5% tracing-overhead guard
 //! honest as the event set grows.
 
+use pipedream_bench::util::time_ms;
 use pipedream_obs::{LiveProfiler, SpanKind, TraceSession};
 use serde::Serialize;
 use std::time::Instant;
@@ -32,19 +33,6 @@ struct ObsBenchReport {
     live_sample_ms: f64,
     /// Prometheus render of the published live series, milliseconds.
     render_prometheus_ms: f64,
-}
-
-/// Minimum of `iters` timed runs of `f`, in milliseconds — the
-/// noise-robust estimator for microbenchmarks on shared CI hardware.
-fn time_ms(iters: usize, mut f: impl FnMut()) -> f64 {
-    f(); // warm-up
-    (0..iters)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64() * 1e3
-        })
-        .fold(f64::INFINITY, f64::min)
 }
 
 const TRACKS: usize = 4;

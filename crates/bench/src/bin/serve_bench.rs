@@ -19,6 +19,7 @@
 //! exit 1 when throughput, tail latency, or cache behaviour regress past
 //! the bound.
 
+use pipedream_bench::util::arg_value;
 use pipedream_obs::MetricsRegistry;
 use pipedream_serve::{Client, ServeOptions, Server};
 use serde::Serialize;
@@ -59,13 +60,6 @@ struct ServeBenchReport {
     cache_coalesced: u64,
     /// Distinct request bodies in the workload.
     workload_keys: usize,
-}
-
-fn arg_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
 }
 
 fn parse_metric(metrics_text: &str, name: &str) -> u64 {

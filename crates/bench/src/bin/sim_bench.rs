@@ -14,6 +14,7 @@
 //! sweep replays thousands of candidate schedules through the simulator,
 //! so a throughput regression here slows every `plan`/`analyze` flow.
 
+use pipedream_bench::util::arg_value;
 use pipedream_core::schedule::Schedule;
 use pipedream_core::PipelineConfig;
 use pipedream_hw::{Device, LinkModel, Precision, Topology};
@@ -43,13 +44,6 @@ struct SimBenchReport {
     depths: Vec<DepthResult>,
     /// Worst (lowest) events/sec across the sweep — what the CI gate checks.
     min_events_per_sec: f64,
-}
-
-fn arg_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
 }
 
 fn bench_depth(stages: usize, minibatches: u64) -> DepthResult {

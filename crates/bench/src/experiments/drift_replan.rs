@@ -16,7 +16,7 @@
 //!    throughput beats the degraded pipeline's.
 //!
 //! [`run_applied`] closes the loop for real: the same setup (under a
-//! heavier straggler — see [`APPLIED_DELAY`]) is handed to
+//! heavier straggler — see `APPLIED_DELAY`) is handed to
 //! [`train_with_autopilot`], which detects the straggler live,
 //! drains to a consistent checkpoint, repartitions onto the advisor's
 //! recommended plan, resumes mid-epoch, and commits (or rolls back) after

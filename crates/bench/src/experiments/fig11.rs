@@ -84,7 +84,6 @@ pub fn run(epochs: usize) -> Fig11 {
         checkpoint_every: None,
         resume: false,
         depth: None,
-        trace: false,
         obs: None,
         ..TrainOpts::default()
     };

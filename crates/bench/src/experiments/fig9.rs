@@ -48,7 +48,6 @@ pub fn run() -> Fig9 {
         checkpoint_every: None,
         resume: false,
         depth: None,
-        trace: false,
         obs: None,
         ..TrainOpts::default()
     };

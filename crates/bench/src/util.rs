@@ -1,4 +1,5 @@
-//! Shared helpers: table formatting and common simulation plumbing.
+//! Shared helpers: table formatting, common simulation plumbing, and the
+//! bench binaries' timing and argument helpers.
 
 use pipedream_core::schedule::Schedule;
 use pipedream_core::{PipelineConfig, Planner};
@@ -6,6 +7,29 @@ use pipedream_hw::Topology;
 use pipedream_model::{LayerCosts, ModelProfile};
 use pipedream_sim::{simulate_dp, simulate_pipeline, SimResult};
 use std::fmt::Write as _;
+use std::time::Instant;
+
+/// Minimum of `iters` timed runs of `f` after one warm-up run, in
+/// milliseconds. The minimum, not the mean, is the noise-robust estimator
+/// for a microbenchmark on shared hardware.
+pub fn time_ms(iters: usize, mut f: impl FnMut()) -> f64 {
+    f(); // warm-up: populates the buffer pool and the branch predictor
+    (0..iters)
+        .map(|_| {
+            let t = Instant::now();
+            f();
+            t.elapsed().as_secs_f64() * 1e3
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// The command-line value following the flag `name`, if any.
+pub fn arg_value(name: &str) -> Option<String> {
+    let args: Vec<String> = std::env::args().collect();
+    args.iter()
+        .position(|a| a == name)
+        .and_then(|i| args.get(i + 1).cloned())
+}
 
 /// Render rows as a fixed-width text table with a header.
 pub fn format_table(header: &[&str], rows: &[Vec<String>]) -> String {

@@ -55,6 +55,19 @@ pub struct PipelineConfig {
     stages: Vec<StagePlan>,
 }
 
+/// Least common multiple; a zero argument counts as 1.
+pub fn lcm(a: u64, b: u64) -> u64 {
+    fn gcd(a: u64, b: u64) -> u64 {
+        if b == 0 {
+            a
+        } else {
+            gcd(b, a % b)
+        }
+    }
+    let (a, b) = (a.max(1), b.max(1));
+    a / gcd(a, b) * b
+}
+
 impl PipelineConfig {
     /// Build from a stage list; panics unless stages are consecutive,
     /// start at layer 0, and have ≥ 1 replica each.
@@ -141,6 +154,22 @@ impl PipelineConfig {
         self.total_workers().div_ceil(self.stages[0].replicas)
     }
 
+    /// The lcm of every stage's replica count: a run of complete
+    /// minibatches whose length is a multiple of this gives each replica
+    /// of every replicated stage the same number of gradient-sync rounds.
+    pub fn replica_lcm(&self) -> u64 {
+        self.stages.iter().fold(1, |l, s| lcm(l, s.replicas as u64))
+    }
+
+    /// PipeDream-2BW update-group size for in-flight depth `depth`: the
+    /// depth rounded up to a multiple of [`Self::replica_lcm`], so group
+    /// `g`'s pinned generation always exists and every full group's
+    /// gradient sync involves all replicas.
+    pub fn two_bw_group(&self, depth: usize) -> u64 {
+        let round = self.replica_lcm();
+        (depth.max(1) as u64).div_ceil(round) * round
+    }
+
     /// Total in-flight minibatches across all input replicas
     /// (`noam × input-stage replicas`).
     pub fn max_in_flight(&self) -> usize {
@@ -225,6 +254,20 @@ impl fmt::Display for PipelineConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn lcm_of_replica_counts() {
+        assert_eq!(lcm(1, 1), 1);
+        assert_eq!(lcm(2, 3), 6);
+        assert_eq!(lcm(4, 2), 4);
+        assert_eq!(lcm(0, 5), 5);
+        let c = PipelineConfig::from_counts(&[(2, 2), (2, 3), (1, 1)]);
+        assert_eq!(c.replica_lcm(), 6);
+        // 2BW groups: the depth rounded up to the replica lcm.
+        assert_eq!(c.two_bw_group(4), 6);
+        assert_eq!(c.two_bw_group(7), 12);
+        assert_eq!(c.two_bw_group(0), 6);
+    }
 
     #[test]
     fn vgg_15_1_notation() {

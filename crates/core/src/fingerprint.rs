@@ -181,7 +181,7 @@ pub fn fingerprint_topology(
     Ok(())
 }
 
-/// Fold a [`PipelineConfig`] (the planner's *answer*) into `h`: stage
+/// Fold a [`PipelineConfig`](crate::PipelineConfig) (the planner's *answer*) into `h`: stage
 /// boundaries and replica counts, length-prefixed. Infallible — configs
 /// hold no floats.
 pub fn fingerprint_config(h: &mut Fingerprinter, config: &crate::PipelineConfig) {
@@ -194,7 +194,7 @@ pub fn fingerprint_config(h: &mut Fingerprinter, config: &crate::PipelineConfig)
     }
 }
 
-/// Canonical 64-bit fingerprint of a [`PipelineConfig`] alone. Two plans
+/// Canonical 64-bit fingerprint of a [`PipelineConfig`](crate::PipelineConfig) alone. Two plans
 /// with equal fingerprints assign the same layers and replicas to the
 /// same stages, so an *applied* reconfiguration can be matched against
 /// the advisor's *recommended* plan (and against serve-cache entries)

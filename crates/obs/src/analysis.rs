@@ -1,112 +1,16 @@
-//! Post-run trace analysis: per-stage aggregates, conversion to the
+//! Post-run trace analysis: the metrics fold, conversion to the
 //! simulator's [`Timeline`] for ASCII/SVG rendering, and validation of a
 //! measured run against planner-predicted stage times and simulated
 //! steady-state throughput (the feedback loop the paper closes by
-//! profiling before partitioning, §3.1).
+//! profiling before partitioning, §3.1). Per-stage numbers come from the
+//! critical-path module's attribution sweep.
 
+use crate::critical_path::{sweep, wall_ns};
 use crate::event::SpanKind;
 use crate::metrics::MetricsRegistry;
 use crate::recorder::TraceSnapshot;
 use pipedream_sim::{Timeline, WorkKind};
 use serde::{Deserialize, Serialize};
-
-/// Aggregated busy time for one pipeline stage, summed over its replica
-/// tracks.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct StageTimes {
-    /// Pipeline stage index.
-    pub stage: usize,
-    /// Number of tracks (replicas) contributing.
-    pub tracks: usize,
-    /// Total forward span time (includes nested receive waits).
-    pub fwd_s: f64,
-    /// Total backward span time (includes nested receive waits).
-    pub bwd_s: f64,
-    /// Total gradient-sync rendezvous time.
-    pub sync_s: f64,
-    /// Total time blocked on upstream/downstream receives (nested inside
-    /// forward/backward spans).
-    pub recv_wait_s: f64,
-    /// Total checkpoint write time.
-    pub checkpoint_s: f64,
-    /// Backward passes completed (minibatches finished by this stage).
-    pub minibatches: u64,
-    /// Fraction of wall time this stage spent computing, averaged over
-    /// its replicas.
-    pub busy_frac: f64,
-    /// Fraction of wall time spent blocked on communication — send/receive
-    /// waits plus the gradient-sync rendezvous — averaged over replicas.
-    pub comm_frac: f64,
-    /// Pipeline bubble: `1 - busy_frac - comm_frac`, idle time that is
-    /// neither compute nor communication.
-    pub bubble_frac: f64,
-}
-
-impl StageTimes {
-    /// Pure compute: forward + backward with the nested receive waits
-    /// subtracted back out.
-    pub fn compute_s(&self) -> f64 {
-        (self.fwd_s + self.bwd_s - self.recv_wait_s).max(0.0)
-    }
-
-    /// Mean per-minibatch compute time (0 when no backward completed).
-    pub fn compute_per_minibatch_s(&self) -> f64 {
-        if self.minibatches == 0 {
-            0.0
-        } else {
-            self.compute_s() / self.minibatches as f64
-        }
-    }
-}
-
-/// Sum span durations per stage across a snapshot's stage tracks.
-/// Tracks without a stage (supervisor, coordinator) are ignored.
-pub fn stage_times(snap: &TraceSnapshot) -> Vec<StageTimes> {
-    let n_stages = snap
-        .tracks
-        .iter()
-        .filter_map(|t| t.stage)
-        .max()
-        .map(|s| s + 1)
-        .unwrap_or(0);
-    let mut out: Vec<StageTimes> = (0..n_stages)
-        .map(|stage| StageTimes {
-            stage,
-            ..StageTimes::default()
-        })
-        .collect();
-    let wall = snap.span_s();
-    for track in &snap.tracks {
-        let Some(stage) = track.stage else { continue };
-        let st = &mut out[stage];
-        st.tracks += 1;
-        for ev in &track.events {
-            let d = ev.duration_s();
-            match ev.kind {
-                SpanKind::Fwd { .. } => st.fwd_s += d,
-                SpanKind::Bwd { .. } => {
-                    st.bwd_s += d;
-                    st.minibatches += 1;
-                }
-                SpanKind::GradSync => st.sync_s += d,
-                SpanKind::RecvWait { .. } | SpanKind::SendWait { .. } => st.recv_wait_s += d,
-                SpanKind::Checkpoint => st.checkpoint_s += d,
-                _ => {}
-            }
-        }
-    }
-    for st in &mut out {
-        if wall > 0.0 && st.tracks > 0 {
-            let denom = wall * st.tracks as f64;
-            st.busy_frac = (st.compute_s() / denom).min(1.0);
-            // Communication is capped by what busy left over, so the
-            // three fractions always sum to exactly 1.
-            st.comm_frac = ((st.recv_wait_s + st.sync_s) / denom).min(1.0 - st.busy_frac);
-            st.bubble_frac = 1.0 - st.busy_frac - st.comm_frac;
-        }
-    }
-    out
-}
 
 /// Convert a measured snapshot into the simulator's [`Timeline`] so the
 /// same `render_timeline` / `render_svg` code draws real runs. One lane
@@ -201,11 +105,16 @@ pub fn validate(
     simulated_per_minibatch_s: f64,
     minibatch_size: usize,
 ) -> TraceValidation {
-    let per_stage = stage_times(snap)
+    let per_stage = sweep(snap, 0, wall_ns(snap))
+        .per_stage
         .iter()
         .map(|st| {
             let predicted = predicted_stage_s.get(st.stage).copied().unwrap_or(0.0);
-            let measured = st.compute_per_minibatch_s();
+            let measured = if st.minibatches == 0 {
+                0.0
+            } else {
+                st.breakdown.rollup_s().0 / st.minibatches as f64
+            };
             StageValidation {
                 stage: st.stage,
                 measured_s: measured,
@@ -242,29 +151,32 @@ pub fn validate(
 }
 
 /// Fold a snapshot into registry gauges/histograms: per-stage busy%,
-/// comm% and bubble%, per-kind span duration histograms, and the total
-/// events lost to the rings' drop-oldest policy.
+/// comm% and bubble% (the busy/comm/bubble rollup of the whole-trace
+/// cause attribution over `wall × tracks`, see
+/// [`crate::CauseBreakdown`]), per-kind span duration histograms, and
+/// the total events lost to the rings' drop-oldest policy.
 ///
 /// Emits the labeled series only: `pipedream_stage_*{stage="N"}` gauges
 /// and the `pipedream_span_seconds{kind="..."}` histogram family. The
 /// pre-5.x flat names (`stage2_busy_frac`, `span_seconds_fwd`) were kept
 /// behind a `flat_compat` shim for one release and are now gone.
 pub fn record_snapshot_metrics(metrics: &MetricsRegistry, snap: &TraceSnapshot) {
-    for st in stage_times(snap) {
+    let wall_ns = wall_ns(snap);
+    for st in sweep(snap, 0, wall_ns).per_stage {
+        let (busy, comm, bubble) = st
+            .breakdown
+            .utilization(wall_ns as f64 * 1e-9 * st.tracks as f64);
+        let sync_s = st.breakdown.grad_sync_s + st.breakdown.two_bw_barrier_s;
         let stage = st.stage.to_string();
         let labels: [(&str, &str); 1] = [("stage", stage.as_str())];
-        metrics
-            .gauge_labeled("pipedream_stage_busy_frac", &labels)
-            .set(st.busy_frac);
-        metrics
-            .gauge_labeled("pipedream_stage_comm_frac", &labels)
-            .set(st.comm_frac);
-        metrics
-            .gauge_labeled("pipedream_stage_bubble_frac", &labels)
-            .set(st.bubble_frac);
-        metrics
-            .gauge_labeled("pipedream_stage_sync_wait_seconds", &labels)
-            .set(st.sync_s);
+        for (name, value) in [
+            ("pipedream_stage_busy_frac", busy),
+            ("pipedream_stage_comm_frac", comm),
+            ("pipedream_stage_bubble_frac", bubble),
+            ("pipedream_stage_sync_wait_seconds", sync_s),
+        ] {
+            metrics.gauge_labeled(name, &labels).set(value);
+        }
     }
     let mut dropped = 0;
     for track in &snap.tracks {
@@ -336,31 +248,35 @@ mod tests {
     }
 
     #[test]
-    fn stage_times_aggregate_and_subtract_waits() {
-        let st = stage_times(&sample());
+    fn attribution_rollup_aggregates_and_subtracts_waits() {
+        let snap = sample();
+        let st = sweep(&snap, 0, wall_ns(&snap)).per_stage;
         assert_eq!(st.len(), 2);
         assert_eq!(st[0].minibatches, 4);
-        assert!((st[0].fwd_s - 4.0 * 3e-3).abs() < 1e-9);
-        assert!((st[0].recv_wait_s - 4.0 * 1e-3).abs() < 1e-9);
-        // compute = 4*(3+4) - 4*1 = 24 ms
-        assert!((st[0].compute_s() - 24e-3).abs() < 1e-9);
-        assert!((st[0].compute_per_minibatch_s() - 6e-3).abs() < 1e-9);
-        assert!((st[1].checkpoint_s - 4e-3).abs() < 1e-9);
-        assert!(st[0].busy_frac > 0.0 && st[0].busy_frac <= 1.0);
+        let b0 = &st[0].breakdown;
+        assert!((b0.wait_upstream_s - 4.0 * 1e-3).abs() < 1e-9);
+        // busy = 4*(3+4) - 4*1 = 24 ms
+        let (busy_s, _, _) = b0.rollup_s();
+        assert!((busy_s - 24e-3).abs() < 1e-9);
+        let v = validate(&snap, &[], 0.0, 1);
+        assert!((v.per_stage[0].measured_s - 6e-3).abs() < 1e-9);
+        assert!((st[1].breakdown.checkpoint_s - 4e-3).abs() < 1e-9);
+        let wall_s = wall_ns(&snap) as f64 * 1e-9;
+        let fracs: Vec<(f64, f64, f64)> = st
+            .iter()
+            .map(|s| s.breakdown.utilization(wall_s * s.tracks as f64))
+            .collect();
+        let (busy0, comm0, _) = fracs[0];
+        assert!(busy0 > 0.0 && busy0 <= 1.0);
         // Communication (the 4 ms of receive waits over a 38 ms wall) is
         // its own fraction, not part of the bubble.
-        assert!(
-            (st[0].comm_frac - 4.0 / 38.0).abs() < 1e-9,
-            "{}",
-            st[0].comm_frac
-        );
-        for s in &st {
+        assert!((comm0 - 4.0 / 38.0).abs() < 1e-9, "{comm0}");
+        for (stage, &(busy, comm, bubble)) in fracs.iter().enumerate() {
             assert!(
-                (s.busy_frac + s.comm_frac + s.bubble_frac - 1.0).abs() < 1e-12,
-                "stage {}: fractions must sum to 1",
-                s.stage
+                (busy + comm + bubble - 1.0).abs() < 1e-12,
+                "stage {stage}: fractions must sum to 1"
             );
-            assert!(s.bubble_frac >= 0.0 && s.comm_frac >= 0.0);
+            assert!(bubble >= 0.0 && comm >= 0.0);
         }
     }
 

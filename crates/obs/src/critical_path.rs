@@ -1,20 +1,24 @@
 //! Per-minibatch dependency-DAG reconstruction, critical-path extraction,
 //! and typed bubble attribution.
 //!
-//! The aggregate busy/comm/bubble fractions of [`crate::analysis`] say a
-//! stage idled; they cannot say *which dependency* put that idle time on
-//! the end-to-end critical path. This module reconstructs the dependency
-//! DAG the 1F1B schedule actually executed — from any
-//! [`TraceSnapshot`], live or parsed back from a Chrome trace, measured
-//! or simulated — and produces two exact accountings:
+//! Aggregate busy/comm/bubble fractions say a stage idled; they cannot
+//! say *which dependency* put that idle time on the end-to-end critical
+//! path. This module reconstructs the dependency DAG the 1F1B schedule
+//! actually executed — from any [`TraceSnapshot`], live or parsed back
+//! from a Chrome trace, measured or simulated — and produces two exact
+//! accountings:
 //!
 //! 1. **Per-stage wall-clock attribution**: every nanosecond of every
 //!    stage track is assigned a [`BubbleCause`] (compute, upstream wait,
 //!    backpressure, grad-sync, recompute, 2BW group barrier, optimizer
 //!    step, checkpoint, fault injection, fill/drain, idle). The causes of
-//!    a track sum to the run's wall clock *by construction* — the
-//!    accounting is an exact partition of `[0, wall]` done in integer
-//!    nanoseconds, which the tests pin.
+//!    a track sum to the window's wall clock *by construction* — the
+//!    accounting is an exact partition of `[from, to)` done in integer
+//!    nanoseconds, which the tests pin. This sweep is the crate's one
+//!    fold over a trace: the busy/comm/bubble fractions of
+//!    [`crate::analysis`] and [`crate::live`] are its rollup
+//!    ([`CauseBreakdown`]), and the live profiler's per-minibatch compute
+//!    samples come from the same pass.
 //! 2. **Critical-path attribution**: walking binding predecessors
 //!    backward from the last span to finish (the same-track predecessor
 //!    or the cross-stage data producer, whichever ended later), the run's
@@ -33,6 +37,7 @@ use crate::event::SpanKind;
 use crate::recorder::{TraceSnapshot, TrackEvents};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 
 /// Where a slice of a stage's wall clock went.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -104,9 +109,35 @@ impl BubbleCause {
     pub fn is_bubble(self) -> bool {
         !matches!(self, BubbleCause::Compute)
     }
+
+    /// Whether this cause rolls up into a stage's busy fraction: the work
+    /// the stage itself does (compute, recompute, optimizer step).
+    pub(crate) fn is_busy(self) -> bool {
+        matches!(
+            self,
+            BubbleCause::Compute | BubbleCause::Recompute | BubbleCause::OptimizerStep
+        )
+    }
+
+    /// Whether this cause rolls up into a stage's communication fraction:
+    /// waiting on peers (receive waits, send backpressure, gradient sync,
+    /// 2BW group barriers).
+    pub(crate) fn is_comm(self) -> bool {
+        matches!(
+            self,
+            BubbleCause::WaitUpstream
+                | BubbleCause::Backpressure
+                | BubbleCause::GradSync
+                | BubbleCause::TwoBwBarrier
+        )
+    }
 }
 
 /// Nanoseconds per cause; an exact partition of some wall-clock interval.
+///
+/// A stage's busy/comm/bubble fractions are a rollup of it: busy is
+/// compute, recompute and optimizer step; comm is upstream waits,
+/// backpressure, grad sync and 2BW barriers; bubble is everything else.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct CauseBreakdown {
     /// Useful compute time (seconds). The remaining fields are bubbles.
@@ -141,19 +172,10 @@ impl CauseBreakdown {
 
     /// Seconds attributed to `cause`.
     pub fn get(&self, cause: BubbleCause) -> f64 {
-        match cause {
-            BubbleCause::Compute => self.compute_s,
-            BubbleCause::WaitUpstream => self.wait_upstream_s,
-            BubbleCause::Backpressure => self.backpressure_s,
-            BubbleCause::GradSync => self.grad_sync_s,
-            BubbleCause::Recompute => self.recompute_s,
-            BubbleCause::TwoBwBarrier => self.two_bw_barrier_s,
-            BubbleCause::OptimizerStep => self.optimizer_step_s,
-            BubbleCause::Checkpoint => self.checkpoint_s,
-            BubbleCause::Injection => self.injection_s,
-            BubbleCause::FillDrain => self.fill_drain_s,
-            BubbleCause::Idle => self.idle_s,
-        }
+        // Read through `slot` on a copy (eleven floats), so the
+        // cause-to-field map is written once.
+        let mut copy = *self;
+        *copy.slot(cause)
     }
 
     fn slot(&mut self, cause: BubbleCause) -> &mut f64 {
@@ -177,9 +199,34 @@ impl CauseBreakdown {
         BubbleCause::ALL.iter().map(|&c| self.get(c)).sum()
     }
 
-    /// Sum across bubble (non-compute) causes.
-    pub fn bubble_s(&self) -> f64 {
-        self.total_s() - self.compute_s
+    /// The busy/comm/bubble rollup, in seconds: busy sums compute,
+    /// recompute and optimizer step; comm sums upstream waits,
+    /// backpressure, grad sync and 2BW barriers; bubble is the rest
+    /// (checkpoint, injection, fill/drain, idle).
+    pub(crate) fn rollup_s(&self) -> (f64, f64, f64) {
+        let (mut busy, mut comm, mut bubble) = (0.0, 0.0, 0.0);
+        for c in BubbleCause::ALL {
+            let slot = if c.is_busy() {
+                &mut busy
+            } else if c.is_comm() {
+                &mut comm
+            } else {
+                &mut bubble
+            };
+            *slot += self.get(c);
+        }
+        (busy, comm, bubble)
+    }
+
+    /// [`Self::rollup_s`] as fractions of `denom_s`; over an exact
+    /// partition of `denom_s` the three sum to 1. All zero when `denom_s`
+    /// is not positive.
+    pub(crate) fn utilization(&self, denom_s: f64) -> (f64, f64, f64) {
+        if denom_s <= 0.0 {
+            return (0.0, 0.0, 0.0);
+        }
+        let (busy, comm, bubble) = self.rollup_s();
+        (busy / denom_s, comm / denom_s, bubble / denom_s)
     }
 
     /// Largest bubble bucket, if any time was lost at all.
@@ -190,13 +237,6 @@ impl CauseBreakdown {
             .map(|&c| (c, self.get(c)))
             .filter(|&(_, s)| s > 0.0)
             .max_by(|a, b| a.1.total_cmp(&b.1))
-    }
-
-    /// Accumulate another breakdown into this one.
-    pub fn merge(&mut self, other: &CauseBreakdown) {
-        for c in BubbleCause::ALL {
-            self.add(c, other.get(c));
-        }
     }
 }
 
@@ -282,14 +322,20 @@ pub struct WhatIf {
     pub predicted_gain_frac: f64,
 }
 
-/// How one toplevel span (or the gap before it) spends its time.
+/// One `(start, end, cause)` slice of a toplevel span.
+type Piece = (u64, u64, BubbleCause);
+
+/// One toplevel span of a stage track.
 struct Node {
+    /// Index of the node's track in the snapshot.
+    track: usize,
     stage: usize,
     kind: SpanKind,
     start_ns: u64,
     end_ns: u64,
-    /// `(start, end, cause)` pieces tiling `[start_ns, end_ns]` exactly.
-    pieces: Vec<(u64, u64, BubbleCause)>,
+    /// Indices into [`Sweep::pieces`] of the pieces tiling
+    /// `[start_ns, end_ns]` exactly.
+    pieces: Range<usize>,
 }
 
 fn cause_of(kind: SpanKind, two_bw: bool) -> Option<BubbleCause> {
@@ -320,26 +366,31 @@ fn cause_of(kind: SpanKind, two_bw: bool) -> Option<BubbleCause> {
 }
 
 /// Partition a stage track into toplevel spans, each pre-sliced into
-/// `(start, end, cause)` pieces: nested spans get their own cause, the
+/// pieces appended to `pieces`: nested spans get their own cause, the
 /// uncovered remainder inherits the toplevel span's cause.
-fn build_nodes(stage: usize, track: &TrackEvents) -> Vec<Node> {
+fn build_nodes(
+    (ti, stage): (usize, usize),
+    track: &TrackEvents,
+    pieces: &mut Vec<Piece>,
+) -> Vec<Node> {
     // A sparse optimizer-step cadence (2BW gradient accumulation, GPipe
     // flush) means the per-group grad-sync is a *group barrier*, not a
     // per-minibatch rendezvous.
-    let bwds = track
-        .events
-        .iter()
-        .filter(|e| matches!(e.kind, SpanKind::Bwd { .. }))
-        .count();
-    let opts = track
-        .events
-        .iter()
-        .filter(|e| matches!(e.kind, SpanKind::OptStep { .. }))
-        .count();
+    let (mut bwds, mut opts) = (0usize, 0usize);
+    let mut spans = Vec::with_capacity(track.events.len());
+    for e in &track.events {
+        match e.kind {
+            SpanKind::Bwd { .. } => bwds += 1,
+            SpanKind::OptStep { .. } => opts += 1,
+            _ => {}
+        }
+        if !e.is_instant() {
+            spans.push(e);
+        }
+    }
     let two_bw = opts > 0 && opts * 2 <= bwds;
 
     let mut nodes: Vec<Node> = Vec::new();
-    let mut spans: Vec<_> = track.events.iter().filter(|e| !e.is_instant()).collect();
     // At equal starts the enclosing (longer) span must be toplevel —
     // simulated traces emit a Fwd/Bwd and its nested RecvWait with the
     // same start timestamp.
@@ -348,7 +399,7 @@ fn build_nodes(stage: usize, track: &TrackEvents) -> Vec<Node> {
     while i < spans.len() {
         let top = spans[i];
         let top_cause = cause_of(top.kind, two_bw).unwrap_or(BubbleCause::Idle);
-        let mut pieces: Vec<(u64, u64, BubbleCause)> = Vec::new();
+        let first = pieces.len();
         let mut covered = top.start_ns;
         let mut j = i + 1;
         while j < spans.len() && spans[j].start_ns < top.end_ns {
@@ -370,41 +421,82 @@ fn build_nodes(stage: usize, track: &TrackEvents) -> Vec<Node> {
             pieces.push((covered, top.end_ns, top_cause));
         }
         nodes.push(Node {
+            track: ti,
             stage,
             kind: top.kind,
             start_ns: top.start_ns,
             end_ns: top.end_ns,
-            pieces,
+            pieces: first..pieces.len(),
         });
         i = j;
     }
     nodes
 }
 
-/// Clip a node's pieces to `[from, to]` and accumulate into `out`
+/// Clip pieces to the window `[from, to)` and accumulate into `out`
 /// (nanosecond-exact).
-fn add_pieces(out: &mut CauseBreakdown, node: &Node, from: u64, to: u64) {
-    for &(s, e, cause) in &node.pieces {
-        let cs = s.max(from);
-        let ce = e.min(to);
-        if ce > cs {
-            out.add(cause, (ce - cs) as f64 * 1e-9);
-        }
+fn add_pieces(out: &mut CauseBreakdown, pieces: &[Piece], window: (u64, u64)) {
+    for &piece in pieces {
+        add_clipped(out, piece, window);
     }
 }
 
-/// Reconstruct the dependency DAG of a trace, attribute every nanosecond
-/// of every stage track to a [`BubbleCause`], and extract the critical
-/// path. Works on measured snapshots, parsed Chrome traces, and simulated
-/// snapshots ([`crate::simtrace`]) alike.
-pub fn analyze_trace(snap: &TraceSnapshot) -> CriticalPathReport {
-    let wall_ns = snap
-        .tracks
-        .iter()
-        .flat_map(|t| t.events.iter().map(|e| e.end_ns))
-        .max()
-        .unwrap_or(0);
-    let wall_s = wall_ns as f64 * 1e-9;
+fn add_clipped(out: &mut CauseBreakdown, (s, e, cause): Piece, (from, to): (u64, u64)) {
+    let (s, e) = (s.max(from), e.min(to));
+    if e > s {
+        out.add(cause, (e - s) as f64 * 1e-9);
+    }
+}
+
+/// Cause of an idle gap `[from, to]` on a track: injection when a fault
+/// instant sits inside it, fill when nothing ran before it, idle
+/// otherwise.
+fn gap_cause(faults: &[u64], from: u64, to: u64, fill: bool) -> BubbleCause {
+    if faults.iter().any(|&f| f >= from && f <= to) {
+        BubbleCause::Injection
+    } else if fill {
+        BubbleCause::FillDrain
+    } else {
+        BubbleCause::Idle
+    }
+}
+
+/// Whether an event ending at `end_ns` completes inside the window
+/// `(from_ns, to_ns]`; a window starting at the origin also takes events
+/// ending at 0. Consecutive windows therefore count every completion
+/// exactly once.
+fn completes_in(end_ns: u64, from_ns: u64, to_ns: u64) -> bool {
+    end_ns <= to_ns && (end_ns > from_ns || from_ns == 0)
+}
+
+/// The one fold over a trace: every nanosecond of a `[from, to)` window
+/// on every stage track attributed to a [`BubbleCause`], plus the
+/// per-minibatch compute samples and stash bookkeeping of the events
+/// completing in the window. [`analyze_trace`] runs it over the whole
+/// trace, the live profiler over each sample window.
+pub(crate) struct Sweep {
+    /// Per-stage attribution of the window; `minibatches` counts the
+    /// backward passes completing in it.
+    pub per_stage: Vec<StageAttribution>,
+    /// `(track, stage, seconds)` per minibatch whose backward completed in
+    /// the window, in track then completion order: its forward and backward
+    /// node time minus their communication and injection pieces, both
+    /// nodes counted only when they complete in the window.
+    pub samples: Vec<(usize, usize, f64)>,
+    /// Stash pushes minus pops completing in the window, per stage.
+    pub stash_delta: Vec<i64>,
+    /// Toplevel nodes of every stage track, track after track.
+    nodes: Vec<Node>,
+    /// Pieces of every node.
+    pieces: Vec<Piece>,
+    /// Node ids of each snapshot track (empty for non-stage tracks).
+    track_nodes: Vec<Range<usize>>,
+    /// Fault and stall instants anywhere in the run.
+    faults: Vec<u64>,
+}
+
+/// Run the attribution sweep over `[from_ns, to_ns)`.
+pub(crate) fn sweep(snap: &TraceSnapshot, from_ns: u64, to_ns: u64) -> Sweep {
     let num_stages = snap
         .tracks
         .iter()
@@ -412,67 +504,105 @@ pub fn analyze_trace(snap: &TraceSnapshot) -> CriticalPathReport {
         .max()
         .map(|s| s + 1)
         .unwrap_or(0);
-
-    // Fault instants anywhere in the run mark surrounding gaps as
-    // injection-caused rather than plain idle.
-    let fault_instants: Vec<u64> = snap
-        .tracks
-        .iter()
-        .flat_map(|t| t.events.iter())
-        .filter(|e| e.is_instant() && matches!(e.kind, SpanKind::Fault | SpanKind::Stalled))
-        .map(|e| e.start_ns)
-        .collect();
-
-    let mut per_stage: Vec<StageAttribution> = (0..num_stages)
-        .map(|stage| StageAttribution {
-            stage,
-            ..StageAttribution::default()
-        })
-        .collect();
-    let mut all_nodes: Vec<Node> = Vec::new();
-    let mut tracks_of_node: Vec<Vec<usize>> = vec![Vec::new(); snap.tracks.len()];
-
+    let mut sw = Sweep {
+        per_stage: (0..num_stages)
+            .map(|stage| StageAttribution {
+                stage,
+                ..StageAttribution::default()
+            })
+            .collect(),
+        samples: Vec::new(),
+        stash_delta: vec![0; num_stages],
+        nodes: Vec::new(),
+        pieces: Vec::new(),
+        track_nodes: Vec::with_capacity(snap.tracks.len()),
+        faults: Vec::new(),
+    };
     for (ti, track) in snap.tracks.iter().enumerate() {
-        let Some(stage) = track.stage else { continue };
-        let nodes = build_nodes(stage, track);
-        let st = &mut per_stage[stage];
-        st.tracks += 1;
-        st.minibatches += track
-            .events
-            .iter()
-            .filter(|e| matches!(e.kind, SpanKind::Bwd { .. }) && !e.is_instant())
-            .count() as u64;
-        // Exact per-track accounting: [0, first) fill, pieces, interior
-        // gaps, (last, wall] drain.
-        let mut cursor = 0u64;
-        for node in &nodes {
-            if node.start_ns > cursor {
-                let gap_cause = if fault_instants
-                    .iter()
-                    .any(|&f| f >= cursor && f <= node.start_ns)
-                {
-                    BubbleCause::Injection
-                } else if cursor == 0 {
-                    BubbleCause::FillDrain
-                } else {
-                    BubbleCause::Idle
-                };
-                st.breakdown
-                    .add(gap_cause, (node.start_ns - cursor) as f64 * 1e-9);
+        for e in &track.events {
+            if !e.is_instant() {
+                continue;
             }
-            add_pieces(&mut st.breakdown, node, node.start_ns, node.end_ns);
-            cursor = cursor.max(node.end_ns);
+            // Fault instants anywhere in the run mark surrounding gaps as
+            // injection-caused rather than plain idle.
+            let delta = match e.kind {
+                SpanKind::Fault | SpanKind::Stalled => {
+                    sw.faults.push(e.start_ns);
+                    continue;
+                }
+                SpanKind::StashPush { .. } => 1,
+                SpanKind::StashPop { .. } => -1,
+                _ => continue,
+            };
+            if let Some(stage) = track.stage {
+                if completes_in(e.end_ns, from_ns, to_ns) {
+                    sw.stash_delta[stage] += delta;
+                }
+            }
         }
-        if wall_ns > cursor {
-            st.breakdown
-                .add(BubbleCause::FillDrain, (wall_ns - cursor) as f64 * 1e-9);
+        let base = sw.nodes.len();
+        if let Some(stage) = track.stage {
+            let nodes = build_nodes((ti, stage), track, &mut sw.pieces);
+            sw.nodes.extend(nodes);
         }
-        let base = all_nodes.len();
-        tracks_of_node[ti] = (base..base + nodes.len()).collect();
-        all_nodes.extend(nodes);
+        sw.track_nodes.push(base..sw.nodes.len());
     }
 
-    for st in &mut per_stage {
+    let window = (from_ns, to_ns);
+    // Forward samples waiting for their backward, per track: a handful
+    // of in-flight minibatches, so a short list beats a map.
+    let mut pending: Vec<(u64, f64)> = Vec::new();
+    for (ti, (track, ids)) in snap.tracks.iter().zip(&sw.track_nodes).enumerate() {
+        let Some(stage) = track.stage else { continue };
+        let nodes = &sw.nodes[ids.clone()];
+        let st = &mut sw.per_stage[stage];
+        st.tracks += 1;
+        // Nodes are disjoint and sorted, so the window's nodes are one
+        // run starting at the first node ending after `from`.
+        let first = nodes.partition_point(|n| n.end_ns <= from_ns);
+        // Exact accounting: fill before the first node, pieces, interior
+        // gaps, and drain after the last node, all clipped to the window.
+        let mut cursor = first.checked_sub(1).map_or(0, |i| nodes[i].end_ns);
+        pending.clear();
+        for node in &nodes[first..] {
+            if cursor >= to_ns {
+                break;
+            }
+            if node.start_ns > cursor {
+                let cause = gap_cause(&sw.faults, cursor, node.start_ns, cursor == 0);
+                add_clipped(&mut st.breakdown, (cursor, node.start_ns, cause), window);
+            }
+            let pieces = &sw.pieces[node.pieces.clone()];
+            add_pieces(&mut st.breakdown, pieces, window);
+            cursor = cursor.max(node.end_ns);
+            if !completes_in(node.end_ns, from_ns, to_ns) {
+                continue;
+            }
+            let busy_s = || {
+                pieces
+                    .iter()
+                    .filter(|p| p.2.is_busy())
+                    .map(|p| (p.1 - p.0) as f64 * 1e-9)
+                    .sum::<f64>()
+            };
+            match node.kind {
+                SpanKind::Fwd { mb } => pending.push((mb, busy_s())),
+                SpanKind::Bwd { mb } => {
+                    st.minibatches += 1;
+                    let fwd_s = pending
+                        .iter()
+                        .rposition(|p| p.0 == mb)
+                        .map_or(0.0, |i| pending.swap_remove(i).1);
+                    sw.samples.push((ti, stage, fwd_s + busy_s()));
+                }
+                _ => {}
+            }
+        }
+        let drain = (cursor, to_ns, BubbleCause::FillDrain);
+        add_clipped(&mut st.breakdown, drain, window);
+    }
+
+    for st in &mut sw.per_stage {
         if st.minibatches > 0 && st.tracks > 0 {
             let b = &st.breakdown;
             let service = b.compute_s
@@ -483,6 +613,32 @@ pub fn analyze_trace(snap: &TraceSnapshot) -> CriticalPathReport {
             st.service_per_mb_s = service / st.minibatches as f64 / st.tracks as f64;
         }
     }
+    sw
+}
+
+/// Latest event end across all tracks, in nanoseconds.
+pub(crate) fn wall_ns(snap: &TraceSnapshot) -> u64 {
+    snap.tracks
+        .iter()
+        .flat_map(|t| t.events.iter().map(|e| e.end_ns))
+        .max()
+        .unwrap_or(0)
+}
+
+/// Reconstruct the dependency DAG of a trace, attribute every nanosecond
+/// of every stage track to a [`BubbleCause`], and extract the critical
+/// path. Works on measured snapshots, parsed Chrome traces, and simulated
+/// snapshots ([`crate::simtrace`]) alike.
+pub fn analyze_trace(snap: &TraceSnapshot) -> CriticalPathReport {
+    let wall_ns = wall_ns(snap);
+    let Sweep {
+        per_stage,
+        nodes: all_nodes,
+        pieces,
+        faults: fault_instants,
+        ..
+    } = sweep(snap, 0, wall_ns);
+    let num_stages = per_stage.len();
 
     // Producer lookup: (stage, mb) → node ids of its Fwd / Bwd spans.
     let mut by_fwd: HashMap<(usize, u64), Vec<usize>> = HashMap::new();
@@ -495,13 +651,6 @@ pub fn analyze_trace(snap: &TraceSnapshot) -> CriticalPathReport {
         }
     }
     let last_stage = num_stages.saturating_sub(1);
-    // Node id → its same-track predecessor.
-    let mut prev_on_track: HashMap<usize, usize> = HashMap::new();
-    for ids in &tracks_of_node {
-        for w in ids.windows(2) {
-            prev_on_track.insert(w[1], w[0]);
-        }
-    }
 
     let mut critical_path: Vec<CpContribution> = (0..num_stages)
         .map(|stage| CpContribution {
@@ -538,10 +687,10 @@ pub fn analyze_trace(snap: &TraceSnapshot) -> CriticalPathReport {
             .copied()
             .filter(|&id| all_nodes[id].end_ns <= node.end_ns && !visited.contains(&id))
             .max_by_key(|&id| all_nodes[id].end_ns);
-            let same_track = prev_on_track
-                .get(&cur)
-                .copied()
-                .filter(|id| !visited.contains(id));
+            // A track's nodes have consecutive ids.
+            let same_track = cur
+                .checked_sub(1)
+                .filter(|&id| all_nodes[id].track == node.track && !visited.contains(&id));
             let pred = [producer, same_track]
                 .into_iter()
                 .flatten()
@@ -552,23 +701,18 @@ pub fn analyze_trace(snap: &TraceSnapshot) -> CriticalPathReport {
             // Slack before the span started: fill at the chain's origin,
             // scheduler idle elsewhere (injection if a fault sits inside).
             if node.start_ns > from {
-                let cause = if fault_instants
-                    .iter()
-                    .any(|&f| f >= from && f <= node.start_ns)
-                {
-                    BubbleCause::Injection
-                } else if pred.is_none() {
-                    BubbleCause::FillDrain
-                } else {
-                    BubbleCause::Idle
-                };
+                let cause = gap_cause(&fault_instants, from, node.start_ns, pred.is_none());
                 cp.seconds += (node.start_ns - from) as f64 * 1e-9;
                 cp.breakdown
                     .add(cause, (node.start_ns - from) as f64 * 1e-9);
             }
             let seg_from = from.max(node.start_ns).min(node.end_ns);
             cp.seconds += (node.end_ns - seg_from) as f64 * 1e-9;
-            add_pieces(&mut cp.breakdown, node, seg_from, node.end_ns);
+            add_pieces(
+                &mut cp.breakdown,
+                &pieces[node.pieces.clone()],
+                (seg_from, node.end_ns),
+            );
 
             match pred {
                 Some(p) if steps <= all_nodes.len() => cur = p,
@@ -578,7 +722,7 @@ pub fn analyze_trace(snap: &TraceSnapshot) -> CriticalPathReport {
     }
 
     CriticalPathReport {
-        wall_s,
+        wall_s: wall_ns as f64 * 1e-9,
         minibatches: per_stage.iter().map(|s| s.minibatches).max().unwrap_or(0),
         per_minibatch_s: measured_per_minibatch_s(snap),
         per_stage,

@@ -12,7 +12,7 @@
 //!
 //! [`LiveProfiler`]: crate::live::LiveProfiler
 
-use crate::event::SpanKind;
+use crate::critical_path::{sweep, wall_ns};
 use crate::live::LiveSnapshot;
 use crate::recorder::TraceSnapshot;
 use pipedream_core::StagePrediction;
@@ -264,31 +264,25 @@ impl DriftDetector {
     }
 }
 
-/// Scan a snapshot for replicas whose mean per-minibatch compute exceeds
-/// their stage's median by `ratio`. Only stages with more than one
-/// replica track can lag (a lone replica has no partners).
+/// Scan a snapshot for replicas whose mean per-minibatch compute (the
+/// attribution sweep's per-minibatch samples, so gradient-sync waits do
+/// not count) exceeds their stage's median by `ratio`. Only stages with
+/// more than one replica track can lag (a lone replica has no partners).
 pub fn detect_replica_lag(snap: &TraceSnapshot, ratio: f64) -> Vec<ReplicaLag> {
-    // (stage, track name, per-mb compute)
-    let mut per_track: Vec<(usize, &str, f64)> = Vec::new();
-    for track in &snap.tracks {
-        let Some(stage) = track.stage else { continue };
-        let mut compute = 0.0;
-        let mut mbs = 0u64;
-        for ev in &track.events {
-            match ev.kind {
-                SpanKind::Fwd { .. } => compute += ev.duration_s(),
-                SpanKind::Bwd { .. } => {
-                    compute += ev.duration_s();
-                    mbs += 1;
-                }
-                SpanKind::RecvWait { .. } | SpanKind::SendWait { .. } => compute -= ev.duration_s(),
-                _ => {}
-            }
-        }
-        if mbs > 0 {
-            per_track.push((stage, &track.name, compute.max(0.0) / mbs as f64));
-        }
+    // Per track: (stage, compute sum, minibatches).
+    let mut sums: Vec<(usize, f64, u64)> = vec![(0, 0.0, 0); snap.tracks.len()];
+    for (ti, stage, c) in sweep(snap, 0, wall_ns(snap)).samples {
+        let s = &mut sums[ti];
+        *s = (stage, s.1 + c, s.2 + 1);
     }
+    // (stage, track name, per-mb compute)
+    let per_track: Vec<(usize, &str, f64)> = snap
+        .tracks
+        .iter()
+        .zip(sums)
+        .filter(|(_, s)| s.2 > 0)
+        .map(|(t, (stage, c, mbs))| (stage, t.name.as_str(), c / mbs as f64))
+        .collect();
     let mut out = Vec::new();
     let max_stage = per_track.iter().map(|t| t.0).max().unwrap_or(0);
     for stage in 0..=max_stage {
@@ -323,7 +317,7 @@ pub fn detect_replica_lag(snap: &TraceSnapshot, ratio: f64) -> Vec<ReplicaLag> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Event;
+    use crate::event::{Event, SpanKind};
     use crate::live::StageWindowStats;
     use crate::recorder::TrackEvents;
 

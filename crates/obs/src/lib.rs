@@ -52,8 +52,8 @@ pub use advisor::{
     ReplanAdvice,
 };
 pub use analysis::{
-    measured_per_minibatch_s, record_pool_metrics, record_snapshot_metrics, stage_times,
-    to_timeline, validate, StageTimes, StageValidation, TraceValidation,
+    measured_per_minibatch_s, record_pool_metrics, record_snapshot_metrics, to_timeline, validate,
+    StageValidation, TraceValidation,
 };
 pub use chrome::{
     parse_chrome_trace, render_chrome_trace, write_chrome_trace, write_chrome_trace_session,

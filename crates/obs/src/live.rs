@@ -4,21 +4,26 @@
 //! closing the gap between the paper's one-shot offline profile (§3.1)
 //! and what the pipeline is doing *right now*.
 //!
-//! Each [`LiveProfiler::sample`] call snapshots the session, keeps only
-//! events that finished since the previous sample (the rings are
-//! cumulative until they overflow, so `end_ns` partitions cleanly), and
-//! folds them into per-stage window statistics. The same aggregation
-//! works offline: [`LiveProfiler::replay`] runs one whole-trace window
-//! over a parsed snapshot, which is what `pipedream inspect --from-trace`
-//! uses.
+//! Each [`LiveProfiler::sample`] call snapshots the session and runs the
+//! critical-path module's attribution sweep over the window since the
+//! previous sample: every nanosecond of the window is attributed to a
+//! [`BubbleCause`], busy/comm/bubble are a rollup of that breakdown
+//! (busy: compute, recompute, optimizer step; comm: upstream waits,
+//! backpressure, grad sync, 2BW barriers; bubble: the rest), and each
+//! minibatch whose backward finished in the window (the rings are
+//! cumulative until they overflow, so `end_ns` partitions cleanly) yields
+//! one compute sample. The same aggregation works offline:
+//! [`LiveProfiler::replay`] runs one whole-trace window over a parsed
+//! snapshot, which is what `pipedream inspect --from-trace` uses.
+//!
+//! [`BubbleCause`]: crate::BubbleCause
 
 use crate::analysis::to_timeline;
-use crate::event::SpanKind;
+use crate::critical_path::{sweep, wall_ns};
 use crate::metrics::MetricsRegistry;
 use crate::recorder::{TraceSession, TraceSnapshot, TrackEvents};
 use pipedream_sim::render_timeline;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -38,8 +43,9 @@ pub struct StageWindowStats {
     pub tracks: usize,
     /// Minibatches (backward completions) finished inside the window.
     pub minibatches: u64,
-    /// Mean per-minibatch compute time over this window (receive waits
-    /// excluded), 0 when the window saw no completed minibatch.
+    /// Mean per-minibatch compute time over this window (communication
+    /// and injected stalls excluded), 0 when the window saw no completed
+    /// minibatch.
     pub compute_per_mb_s: f64,
     /// Exponentially weighted moving average of `compute_per_mb_s`
     /// across sample windows.
@@ -48,13 +54,17 @@ pub struct StageWindowStats {
     pub p50_compute_s: f64,
     /// 99th-percentile per-minibatch compute time over the buffer.
     pub p99_compute_s: f64,
-    /// Fraction of window wall time spent computing.
+    /// Fraction of window wall time spent computing (compute, recompute,
+    /// optimizer step).
     pub busy_frac: f64,
-    /// Fraction spent blocked on sends/receives/gradient sync.
+    /// Fraction spent blocked on sends/receives/gradient sync/2BW
+    /// barriers.
     pub comm_frac: f64,
-    /// Idle remainder: `1 - busy_frac - comm_frac`.
+    /// Everything else (checkpoint, injection, fill/drain, idle); the
+    /// three fractions sum to 1.
     pub bubble_frac: f64,
-    /// Gradient-sync time inside the window (summed over replicas).
+    /// Gradient-sync and 2BW-barrier time inside the window (summed over
+    /// replicas).
     pub sync_s: f64,
     /// Current stash depth: cumulative stash pushes minus pops.
     pub stash_depth: i64,
@@ -156,7 +166,7 @@ impl LiveProfiler {
     pub fn sample(&mut self) -> LiveSnapshot {
         let now_ns = self.session.elapsed_ns();
         let snap = self.session.snapshot();
-        let live = self.fold_window(&snap, self.last_ns, now_ns);
+        let live = self.window(&snap, self.last_ns, now_ns);
         self.last_ns = now_ns;
         if self.publish {
             publish_live_metrics(self.session.metrics(), &live);
@@ -169,143 +179,47 @@ impl LiveProfiler {
     /// `inspect --from-trace` parses a Chrome trace back into a
     /// [`TraceSnapshot`] and replays it here.
     pub fn replay(snap: &TraceSnapshot) -> LiveSnapshot {
-        let end_ns = snap
-            .tracks
-            .iter()
-            .flat_map(|t| t.events.iter().map(|e| e.end_ns))
-            .max()
-            .unwrap_or(0);
-        // A throwaway session supplies the state; the window covers all
-        // events (half-open, so reach 1 ns past the last end), and the
-        // EWMA equals the single window mean.
+        // A throwaway session supplies the state, and the EWMA equals the
+        // single window mean.
         let mut p = LiveProfiler::new(TraceSession::new())
             .with_alpha(1.0)
             .without_publish();
-        p.fold_window(snap, 0, end_ns + 1)
+        p.window(snap, 0, wall_ns(snap))
     }
 
-    /// Aggregate events with `end_ns` in `(from_ns, to_ns]` into window
-    /// statistics, updating the rolling state.
-    fn fold_window(&mut self, snap: &TraceSnapshot, from_ns: u64, to_ns: u64) -> LiveSnapshot {
-        let n_stages = snap
-            .tracks
-            .iter()
-            .filter_map(|t| t.stage)
-            .max()
-            .map(|s| s + 1)
-            .unwrap_or(0);
+    /// Fold the attribution sweep of `[from_ns, to_ns)` into window
+    /// statistics, updating the rolling state. Time is clipped to the
+    /// window; minibatch samples, completions and stash events count in
+    /// the window their event ends in.
+    fn window(&mut self, snap: &TraceSnapshot, from_ns: u64, to_ns: u64) -> LiveSnapshot {
+        let sw = sweep(snap, from_ns, to_ns);
+        let n_stages = sw.per_stage.len();
         if self.stages.len() < n_stages {
             self.stages.resize_with(n_stages, StageState::default);
         }
         let window_s = to_ns.saturating_sub(from_ns) as f64 * 1e-9;
-
-        struct Acc {
-            tracks: usize,
-            busy_s: f64,
-            comm_s: f64,
-            sync_s: f64,
-            minibatches: u64,
-            // (track, mb) -> (fwd_s, bwd_s, wait_s, bwd_done)
-            per_mb: BTreeMap<(usize, u64), (f64, f64, f64, bool)>,
-            stash_delta: i64,
-        }
-        let mut accs: Vec<Acc> = (0..n_stages)
-            .map(|_| Acc {
-                tracks: 0,
-                busy_s: 0.0,
-                comm_s: 0.0,
-                sync_s: 0.0,
-                minibatches: 0,
-                per_mb: BTreeMap::new(),
-                stash_delta: 0,
-            })
-            .collect();
-        let mut window_minibatches = 0u64;
-        let mut events_dropped = 0u64;
-
-        for (ti, track) in snap.tracks.iter().enumerate() {
-            events_dropped += track.dropped;
-            let Some(stage) = track.stage else { continue };
-            let acc = &mut accs[stage];
-            acc.tracks += 1;
-            for ev in &track.events {
-                // Window membership is by completion time — `[from, to)`
-                // so an instant at the session origin still lands in the
-                // first window and a span ending exactly at the sample
-                // point defers to the next window instead of being lost.
-                // Straddling spans contribute only their in-window
-                // portion to the busy/comm fractions.
-                if ev.end_ns < from_ns || ev.end_ns >= to_ns {
-                    continue;
-                }
-                let d = ev.duration_s();
-                let in_window_s = (ev.end_ns - ev.start_ns.max(from_ns)) as f64 * 1e-9;
-                match ev.kind {
-                    SpanKind::Fwd { mb } => {
-                        acc.busy_s += in_window_s;
-                        acc.per_mb
-                            .entry((ti, mb))
-                            .or_insert((0.0, 0.0, 0.0, false))
-                            .0 += d;
-                    }
-                    SpanKind::Bwd { mb } => {
-                        acc.busy_s += in_window_s;
-                        acc.minibatches += 1;
-                        if stage == 0 {
-                            window_minibatches += 1;
-                        }
-                        let e = acc.per_mb.entry((ti, mb)).or_insert((0.0, 0.0, 0.0, false));
-                        e.1 += d;
-                        e.3 = true;
-                    }
-                    SpanKind::RecvWait { mb } | SpanKind::SendWait { mb } => {
-                        acc.comm_s += in_window_s;
-                        // Waits nest inside fwd/bwd spans, so they are
-                        // double counted in busy_s; subtract via per-mb.
-                        acc.busy_s -= in_window_s;
-                        acc.per_mb
-                            .entry((ti, mb))
-                            .or_insert((0.0, 0.0, 0.0, false))
-                            .2 += d;
-                    }
-                    SpanKind::GradSync => {
-                        acc.comm_s += in_window_s;
-                        acc.sync_s += in_window_s;
-                    }
-                    SpanKind::StashPush { .. } => acc.stash_delta += 1,
-                    SpanKind::StashPop { .. } => acc.stash_delta -= 1,
-                    _ => {}
-                }
+        let mut window_compute = vec![0.0; n_stages];
+        for &(_, stage, c) in &sw.samples {
+            window_compute[stage] += c;
+            let recent = &mut self.stages[stage].recent_compute_s;
+            if recent.len() == PERCENTILE_WINDOW {
+                recent.pop_front();
             }
+            recent.push_back(c);
         }
-
+        let window_minibatches = sw.per_stage.first().map_or(0, |s| s.minibatches);
         self.minibatches_total += window_minibatches;
+
         let mut stages = Vec::with_capacity(n_stages);
-        for (stage, acc) in accs.into_iter().enumerate() {
-            let state = &mut self.stages[stage];
-            state.stash_depth += acc.stash_delta;
-            // Per-mb compute samples: fwd + bwd − nested waits, only for
-            // minibatches whose backward completed inside the window.
-            let mut window_compute = 0.0;
-            let mut window_samples = 0u64;
-            for (_, (fwd, bwd, wait, done)) in acc.per_mb.iter() {
-                if !done {
-                    continue;
-                }
-                let c = (fwd + bwd - wait).max(0.0);
-                window_compute += c;
-                window_samples += 1;
-                if state.recent_compute_s.len() == PERCENTILE_WINDOW {
-                    state.recent_compute_s.pop_front();
-                }
-                state.recent_compute_s.push_back(c);
-            }
-            let compute_per_mb_s = if window_samples > 0 {
-                window_compute / window_samples as f64
+        for st in &sw.per_stage {
+            let state = &mut self.stages[st.stage];
+            state.stash_depth += sw.stash_delta[st.stage];
+            let compute_per_mb_s = if st.minibatches > 0 {
+                window_compute[st.stage] / st.minibatches as f64
             } else {
                 0.0
             };
-            if window_samples > 0 {
+            if st.minibatches > 0 {
                 state.ewma_compute_per_mb_s = if state.ewma_compute_per_mb_s == 0.0 {
                     compute_per_mb_s
                 } else {
@@ -313,26 +227,20 @@ impl LiveProfiler {
                 };
             }
             let (p50, p99) = percentiles(&state.recent_compute_s);
-            let denom = window_s * acc.tracks.max(1) as f64;
-            let (busy_frac, comm_frac) = if denom > 0.0 {
-                let busy = (acc.busy_s.max(0.0) / denom).min(1.0);
-                let comm = (acc.comm_s / denom).min(1.0 - busy);
-                (busy, comm)
-            } else {
-                (0.0, 0.0)
-            };
+            let (busy_frac, comm_frac, bubble_frac) =
+                st.breakdown.utilization(window_s * st.tracks as f64);
             stages.push(StageWindowStats {
-                stage,
-                tracks: acc.tracks,
-                minibatches: acc.minibatches,
+                stage: st.stage,
+                tracks: st.tracks,
+                minibatches: st.minibatches,
                 compute_per_mb_s,
                 ewma_compute_per_mb_s: state.ewma_compute_per_mb_s,
                 p50_compute_s: p50,
                 p99_compute_s: p99,
                 busy_frac,
                 comm_frac,
-                bubble_frac: 1.0 - busy_frac - comm_frac,
-                sync_s: acc.sync_s,
+                bubble_frac,
+                sync_s: st.breakdown.grad_sync_s + st.breakdown.two_bw_barrier_s,
                 stash_depth: state.stash_depth,
             });
         }
@@ -348,7 +256,7 @@ impl LiveProfiler {
             } else {
                 0.0
             },
-            events_dropped,
+            events_dropped: snap.tracks.iter().map(|t| t.dropped).sum(),
         }
     }
 }
@@ -369,27 +277,20 @@ pub fn publish_live_metrics(metrics: &MetricsRegistry, live: &LiveSnapshot) {
     for s in &live.stages {
         let stage = s.stage.to_string();
         let labels: [(&str, &str); 1] = [("stage", stage.as_str())];
-        metrics
-            .gauge_labeled("pipedream_live_compute_per_mb_seconds", &labels)
-            .set(s.ewma_compute_per_mb_s);
-        metrics
-            .gauge_labeled("pipedream_live_p50_seconds", &labels)
-            .set(s.p50_compute_s);
-        metrics
-            .gauge_labeled("pipedream_live_p99_seconds", &labels)
-            .set(s.p99_compute_s);
-        metrics
-            .gauge_labeled("pipedream_live_busy_frac", &labels)
-            .set(s.busy_frac);
-        metrics
-            .gauge_labeled("pipedream_live_comm_frac", &labels)
-            .set(s.comm_frac);
-        metrics
-            .gauge_labeled("pipedream_live_bubble_frac", &labels)
-            .set(s.bubble_frac);
-        metrics
-            .gauge_labeled("pipedream_live_stash_depth", &labels)
-            .set(s.stash_depth as f64);
+        for (name, value) in [
+            (
+                "pipedream_live_compute_per_mb_seconds",
+                s.ewma_compute_per_mb_s,
+            ),
+            ("pipedream_live_p50_seconds", s.p50_compute_s),
+            ("pipedream_live_p99_seconds", s.p99_compute_s),
+            ("pipedream_live_busy_frac", s.busy_frac),
+            ("pipedream_live_comm_frac", s.comm_frac),
+            ("pipedream_live_bubble_frac", s.bubble_frac),
+            ("pipedream_live_stash_depth", s.stash_depth as f64),
+        ] {
+            metrics.gauge_labeled(name, &labels).set(value);
+        }
     }
     metrics
         .gauge("pipedream_live_throughput_mb_per_sec")
@@ -474,13 +375,7 @@ pub fn render_live_dashboard(
 /// rebase times so the window starts at 0 (the ASCII renderer scales from
 /// zero to makespan).
 fn tail_window(snap: &TraceSnapshot, window_s: f64) -> TraceSnapshot {
-    let end_ns = snap
-        .tracks
-        .iter()
-        .flat_map(|t| t.events.iter().map(|e| e.end_ns))
-        .max()
-        .unwrap_or(0);
-    let from_ns = end_ns.saturating_sub((window_s.max(0.0) * 1e9) as u64);
+    let from_ns = wall_ns(snap).saturating_sub((window_s.max(0.0) * 1e9) as u64);
     TraceSnapshot {
         tracks: snap
             .tracks
@@ -508,7 +403,7 @@ fn tail_window(snap: &TraceSnapshot, window_s: f64) -> TraceSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Event;
+    use crate::event::{Event, SpanKind};
 
     const MS: u64 = 1_000_000;
 
@@ -564,11 +459,11 @@ mod tests {
         let snap = snap_of(vec![steady_track(4)]);
         let mut p = LiveProfiler::new(TraceSession::new()).without_publish();
         // First window: [0, 20 ms] sees mbs 0 and 1.
-        let w1 = p.fold_window(&snap, 0, 20 * MS);
+        let w1 = p.window(&snap, 0, 20 * MS);
         assert_eq!(w1.window_minibatches, 2);
         assert_eq!(w1.minibatches_total, 2);
         // Second window: (20, 40 ms] sees mbs 2 and 3, nothing recounted.
-        let w2 = p.fold_window(&snap, 20 * MS, 40 * MS);
+        let w2 = p.window(&snap, 20 * MS, 40 * MS);
         assert_eq!(w2.window_minibatches, 2);
         assert_eq!(w2.minibatches_total, 4);
         assert!((w2.throughput_mb_per_s - 100.0).abs() < 1e-6);
@@ -594,9 +489,9 @@ mod tests {
         let mut p = LiveProfiler::new(TraceSession::new())
             .with_alpha(0.5)
             .without_publish();
-        let fast = p.fold_window(&snap, 0, 40 * MS);
+        let fast = p.window(&snap, 0, 40 * MS);
         assert!((fast.stages[0].ewma_compute_per_mb_s - 6e-3).abs() < 1e-9);
-        let slow = p.fold_window(&snap, 40 * MS, 120 * MS);
+        let slow = p.window(&snap, 40 * MS, 120 * MS);
         // Window mean jumps to 16 ms; EWMA(0.5) lands halfway.
         assert!((slow.stages[0].compute_per_mb_s - 16e-3).abs() < 1e-9);
         assert!((slow.stages[0].ewma_compute_per_mb_s - 11e-3).abs() < 1e-9);
@@ -609,8 +504,8 @@ mod tests {
     fn empty_window_keeps_ewma_and_reports_zero_rate() {
         let snap = snap_of(vec![steady_track(2)]);
         let mut p = LiveProfiler::new(TraceSession::new()).without_publish();
-        p.fold_window(&snap, 0, 20 * MS);
-        let idle = p.fold_window(&snap, 20 * MS, 30 * MS);
+        p.window(&snap, 0, 20 * MS);
+        let idle = p.window(&snap, 20 * MS, 30 * MS);
         assert_eq!(idle.window_minibatches, 0);
         assert_eq!(idle.throughput_mb_per_s, 0.0);
         // EWMA holds its last estimate rather than decaying to 0.

@@ -159,18 +159,6 @@ pub struct TraceSnapshot {
     pub tracks: Vec<TrackEvents>,
 }
 
-impl TraceSnapshot {
-    /// Latest event end across all tracks, in seconds.
-    pub fn span_s(&self) -> f64 {
-        self.tracks
-            .iter()
-            .flat_map(|t| t.events.iter().map(|e| e.end_ns))
-            .max()
-            .unwrap_or(0) as f64
-            * 1e-9
-    }
-}
-
 #[derive(Clone)]
 struct RecorderInner {
     ring: Arc<EventRing>,
@@ -291,7 +279,7 @@ mod tests {
         assert!(e.duration_s() >= 0.002, "slept 2ms, got {}", e.duration_s());
         assert_eq!(snap.tracks[1].name, "supervisor");
         assert!(snap.tracks[1].events[0].is_instant());
-        assert!(snap.span_s() > 0.0);
+        assert!(crate::critical_path::wall_ns(&snap) > 0);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Ring overflow must never break `StageTimes` accounting: whatever the
+//! Ring overflow must never break the per-stage attribution: whatever the
 //! drop-oldest policy discards, the events lost are reported exactly and
 //! the busy/comm/bubble fractions still sum to 1.
 //!
@@ -8,7 +8,7 @@
 //! or above 1.
 
 use pipedream_obs::{
-    record_snapshot_metrics, stage_times, Event, EventRing, MetricsRegistry, SpanKind,
+    analyze_trace, record_snapshot_metrics, Event, EventRing, MetricsRegistry, SpanKind,
     TraceSnapshot, TrackEvents,
 };
 use proptest::prelude::*;
@@ -30,7 +30,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn overflow_never_breaks_stage_times_accounting(
+    fn overflow_never_breaks_stage_accounting(
         cap in 1usize..40,
         pushes in 0u64..200,
     ) {
@@ -52,26 +52,32 @@ proptest! {
                 dropped,
             }],
         };
-        let st = stage_times(&snap);
+        let reg = MetricsRegistry::new();
+        record_snapshot_metrics(&reg, &snap);
+        let st = analyze_trace(&snap).per_stage;
         prop_assert_eq!(st.len(), 1);
         for s in &st {
+            let stage = s.stage.to_string();
+            let labels: [(&str, &str); 1] = [("stage", stage.as_str())];
+            let frac = |name: &str| reg.gauge_labeled(name, &labels).get();
+            let busy_frac = frac("pipedream_stage_busy_frac");
+            let comm_frac = frac("pipedream_stage_comm_frac");
+            let bubble_frac = frac("pipedream_stage_bubble_frac");
             // All fractions stay in range even when overflow stranded
             // partial minibatches (waits without their enclosing spans).
-            prop_assert!(s.busy_frac >= 0.0 && s.busy_frac <= 1.0, "busy {}", s.busy_frac);
-            prop_assert!(s.comm_frac >= 0.0 && s.comm_frac <= 1.0, "comm {}", s.comm_frac);
-            prop_assert!(s.bubble_frac >= 0.0 && s.bubble_frac <= 1.0, "bubble {}", s.bubble_frac);
+            prop_assert!((0.0..=1.0).contains(&busy_frac), "busy {}", busy_frac);
+            prop_assert!((0.0..=1.0).contains(&comm_frac), "comm {}", comm_frac);
+            prop_assert!((0.0..=1.0).contains(&bubble_frac), "bubble {}", bubble_frac);
             if pushes > 0 {
                 prop_assert!(
-                    (s.busy_frac + s.comm_frac + s.bubble_frac - 1.0).abs() < 1e-12,
+                    (busy_frac + comm_frac + bubble_frac - 1.0).abs() < 1e-12,
                     "fractions must sum to 1: {} + {} + {}",
-                    s.busy_frac, s.comm_frac, s.bubble_frac
+                    busy_frac, comm_frac, bubble_frac
                 );
             }
         }
 
         // The metrics fold reports the same loss count.
-        let reg = MetricsRegistry::new();
-        record_snapshot_metrics(&reg, &snap);
         prop_assert_eq!(reg.counter("trace_events_dropped_total").get(), dropped);
     }
 }

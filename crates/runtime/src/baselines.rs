@@ -50,15 +50,8 @@ pub fn train_sequential(
         model,
         TrainReport {
             per_epoch,
-            version_trace: Vec::new(),
-            per_minibatch: Vec::new(),
-            op_trace: Vec::new(),
-            stage_obs: Vec::new(),
-            validation: None,
-            recovery: None,
-            drained_at: None,
-            reconfig: Vec::new(),
             wall_time_s: started.elapsed().as_secs_f64(),
+            ..TrainReport::default()
         },
     )
 }
@@ -145,15 +138,8 @@ pub fn train_bsp_dp(
         result.expect("at least one worker"),
         TrainReport {
             per_epoch,
-            version_trace: Vec::new(),
-            per_minibatch: Vec::new(),
-            op_trace: Vec::new(),
-            stage_obs: Vec::new(),
-            validation: None,
-            recovery: None,
-            drained_at: None,
-            reconfig: Vec::new(),
             wall_time_s: started.elapsed().as_secs_f64(),
+            ..TrainReport::default()
         },
     )
 }
@@ -236,15 +222,8 @@ pub fn train_asp(
         model,
         TrainReport {
             per_epoch,
-            version_trace: Vec::new(),
-            per_minibatch: Vec::new(),
-            op_trace: Vec::new(),
-            stage_obs: Vec::new(),
-            validation: None,
-            recovery: None,
-            drained_at: None,
-            reconfig: Vec::new(),
             wall_time_s: started.elapsed().as_secs_f64(),
+            ..TrainReport::default()
         },
     )
 }

@@ -27,6 +27,7 @@
 //! at the cut point, giving the caller a consistent `(epoch, mb)` state
 //! (the §4 checkpoint machinery) to repartition and resume from.
 
+use pipedream_core::lcm;
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -182,22 +183,6 @@ fn round_up(x: u64, to: u64) -> u64 {
     x.div_ceil(to) * to
 }
 
-/// Least common multiple (for replica-count cut alignment).
-pub fn lcm(a: u64, b: u64) -> u64 {
-    fn gcd(a: u64, b: u64) -> u64 {
-        if b == 0 {
-            a
-        } else {
-            gcd(b, a % b)
-        }
-    }
-    if a == 0 || b == 0 {
-        a.max(b).max(1)
-    } else {
-        a / gcd(a, b) * b
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,13 +255,5 @@ mod tests {
         g.drain_at(1000);
         g.configure(1, 64);
         assert_eq!(g.cut(), Some(64));
-    }
-
-    #[test]
-    fn lcm_of_replica_counts() {
-        assert_eq!(lcm(1, 1), 1);
-        assert_eq!(lcm(2, 3), 6);
-        assert_eq!(lcm(4, 2), 4);
-        assert_eq!(lcm(0, 5), 5);
     }
 }

@@ -26,22 +26,6 @@ pub struct VersionRecord {
     pub version: u64,
 }
 
-/// One executed operation with real wall-clock timestamps (relative to the
-/// run start) — lets the runtime draw its own Figure-4-style timeline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct OpTrace {
-    /// Global worker id.
-    pub worker: usize,
-    /// Minibatch id.
-    pub mb: u64,
-    /// Whether this was a backward pass.
-    pub backward: bool,
-    /// Start, seconds since run start.
-    pub start_s: f64,
-    /// End, seconds since run start.
-    pub end_s: f64,
-}
-
 /// Per-worker stash/staleness observations, reported once when a worker
 /// completes its op sequence.
 ///
@@ -189,8 +173,6 @@ pub struct TrainReport {
     /// Per-minibatch training loss, in minibatch order (finer-grained than
     /// `per_epoch`; useful for convergence plots).
     pub per_minibatch: Vec<(u64, f32)>,
-    /// Real execution trace (when `TrainOpts::trace` is set).
-    pub op_trace: Vec<OpTrace>,
     /// Per-worker stash depth / staleness observations, sorted by
     /// (stage, replica). Empty for non-pipeline baselines.
     pub stage_obs: Vec<StageObsRecord>,
@@ -229,39 +211,6 @@ impl TrainReport {
             .iter()
             .find(|e| e.accuracy >= target)
             .map(|e| e.epoch + 1)
-    }
-
-    /// Render the real execution trace as an ASCII timeline (one row per
-    /// worker; digits are forward passes by minibatch id mod 10, `#`
-    /// backward passes, `.` idle). Empty string when tracing was off.
-    pub fn render_trace(&self, cols: usize) -> String {
-        if self.op_trace.is_empty() {
-            return String::new();
-        }
-        let workers = self.op_trace.iter().map(|t| t.worker).max().unwrap() + 1;
-        let span = self.op_trace.iter().map(|t| t.end_s).fold(0.0f64, f64::max);
-        let mut out = String::new();
-        for w in 0..workers {
-            out.push_str(&format!("worker {w:2} |"));
-            for c in 0..cols {
-                let t = (c as f64 + 0.5) / cols as f64 * span;
-                let cell = self
-                    .op_trace
-                    .iter()
-                    .find(|o| o.worker == w && o.start_s <= t && t < o.end_s)
-                    .map(|o| {
-                        if o.backward {
-                            '#'
-                        } else {
-                            char::from_digit((o.mb % 10) as u32, 10).unwrap_or('?')
-                        }
-                    })
-                    .unwrap_or('.');
-                out.push(cell);
-            }
-            out.push('\n');
-        }
-        out
     }
 
     /// Versions used for minibatch `mb`'s forward pass, by stage.

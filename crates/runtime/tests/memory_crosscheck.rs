@@ -53,7 +53,6 @@ fn sched_opts(schedule: ScheduleKind) -> TrainOpts {
         checkpoint_every: None,
         resume: false,
         depth: None,
-        trace: false,
         obs: None,
         ..TrainOpts::default()
     }

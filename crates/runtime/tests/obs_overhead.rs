@@ -39,7 +39,6 @@ fn wall_time(session: Option<std::sync::Arc<pipedream_obs::TraceSession>>) -> f6
         checkpoint_every: None,
         resume: false,
         depth: None,
-        trace: false,
         obs: session,
         ..TrainOpts::default()
     };
@@ -154,7 +153,6 @@ fn session_captures_without_perturbing_results() {
         checkpoint_every: None,
         resume: false,
         depth: None,
-        trace: false,
         obs,
         ..TrainOpts::default()
     };

@@ -2,10 +2,12 @@
 //! paper's §3.3 claims mechanically on real (small) models.
 
 use pipedream_core::PipelineConfig;
+use pipedream_obs::{to_timeline, TraceSession};
 use pipedream_runtime::trainer::{evaluate, train_pipeline};
 use pipedream_runtime::{
     train_asp, train_bsp_dp, train_sequential, LrSchedule, OptimKind, Semantics, TrainOpts,
 };
+use pipedream_sim::render_timeline;
 use pipedream_tensor::data::{blobs, spirals, Dataset};
 use pipedream_tensor::init::rng;
 use pipedream_tensor::layers::{Linear, Relu, Scale, Tanh};
@@ -43,7 +45,6 @@ fn default_opts(epochs: usize) -> TrainOpts {
         checkpoint_every: None,
         resume: false,
         depth: None,
-        trace: false,
         obs: None,
         ..TrainOpts::default()
     }
@@ -323,7 +324,6 @@ fn sequence_model_trains_through_pipeline() {
         checkpoint_every: None,
         resume: false,
         depth: None,
-        trace: false,
         obs: None,
         ..TrainOpts::default()
     };
@@ -386,7 +386,6 @@ fn resume_continues_from_checkpoint() {
         checkpoint_every: None,
         resume,
         depth: None,
-        trace: false,
         obs: None,
         ..TrainOpts::default()
     };
@@ -525,33 +524,33 @@ fn two_replicated_stages_converge() {
 }
 
 #[test]
-fn op_trace_renders_real_pipeline_timeline() {
+fn traced_run_renders_real_pipeline_timeline() {
     // The runtime can draw its own Figure-4: trace real wall-clock op
     // execution and verify pipelining actually happened (ops on different
     // workers overlapped in time).
     let data = easy_data();
+    let session = TraceSession::new();
     let mut opts = default_opts(2);
-    opts.trace = true;
+    opts.obs = Some(session.clone());
     let config = PipelineConfig::straight(8, &[1, 3, 5]);
-    let (_, report) = train_pipeline(mlp(70, 8, 4), &config, &data, &opts);
-    assert!(!report.op_trace.is_empty());
+    train_pipeline(mlp(70, 8, 4), &config, &data, &opts);
+    let timeline = to_timeline(&session.snapshot());
+    assert_eq!(timeline.per_worker.len(), 4);
+    assert!(timeline.per_worker.iter().all(|w| !w.is_empty()));
     // Every op has sane timestamps.
-    for t in &report.op_trace {
-        assert!(t.end_s >= t.start_s);
-        assert!(t.worker < 4);
+    for i in timeline.per_worker.iter().flatten() {
+        assert!(i.end >= i.start);
     }
     // Overlap: some op on worker 0 runs concurrently with some op on
     // worker 3 (true pipelining across threads).
-    let overlaps = report.op_trace.iter().any(|a| {
-        a.worker == 0
-            && report
-                .op_trace
-                .iter()
-                .any(|b| b.worker == 3 && a.start_s < b.end_s && b.start_s < a.end_s)
+    let overlaps = timeline.per_worker[0].iter().any(|a| {
+        timeline.per_worker[3]
+            .iter()
+            .any(|b| a.start < b.end && b.start < a.end)
     });
     assert!(overlaps, "workers never overlapped — not pipelined?");
     // The ASCII rendering has one row per worker.
-    let render = report.render_trace(60);
+    let render = render_timeline(&timeline, 60);
     assert_eq!(render.lines().count(), 4);
 }
 
@@ -584,7 +583,6 @@ fn cnn_trains_through_pipeline() {
         checkpoint_every: None,
         resume: false,
         depth: None,
-        trace: false,
         obs: None,
         ..TrainOpts::default()
     };
@@ -646,7 +644,6 @@ fn gru_sequence_model_trains_through_pipeline() {
         checkpoint_every: None,
         resume: false,
         depth: None,
-        trace: false,
         obs: None,
         ..TrainOpts::default()
     };

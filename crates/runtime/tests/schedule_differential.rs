@@ -54,7 +54,6 @@ fn sched_opts(epochs: usize, schedule: ScheduleKind) -> TrainOpts {
         checkpoint_every: None,
         resume: false,
         depth: None,
-        trace: false,
         obs: None,
         ..TrainOpts::default()
     }

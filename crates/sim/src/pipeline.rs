@@ -24,18 +24,6 @@ use pipedream_model::LayerCosts;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
-fn gcd(a: u64, b: u64) -> u64 {
-    if b == 0 {
-        a
-    } else {
-        gcd(b, a % b)
-    }
-}
-
-fn lcm(a: u64, b: u64) -> u64 {
-    a / gcd(a, b) * b
-}
-
 /// Result of a pipeline simulation.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SimResult {
@@ -160,11 +148,8 @@ impl<'a> PipelineSim<'a> {
         let stages = config.stages();
         let num_stages = stages.len();
         let assignment = config.worker_assignment();
-        // 2BW update-group size: the in-flight depth rounded up to a
-        // multiple of every stage's replica count, so each full group's
-        // gradient sync involves all replicas (mirrors the runtime).
-        let replica_lcm = stages.iter().fold(1u64, |l, s| lcm(l, s.replicas as u64));
-        let two_bw_group = (config.noam().max(1) as u64).div_ceil(replica_lcm) * replica_lcm;
+        // 2BW update-group size, shared with the runtime.
+        let two_bw_group = config.two_bw_group(config.noam());
 
         // Per-stage durations.
         let fwd_dur: Vec<f64> = stages

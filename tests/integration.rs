@@ -79,7 +79,6 @@ fn profiled_model_plans_and_trains_under_that_plan() {
         checkpoint_every: None,
         resume: false,
         depth: None,
-        trace: false,
         obs: None,
         ..TrainOpts::default()
     };
@@ -118,7 +117,6 @@ fn checkpoint_restart_resumes_identically() {
         checkpoint_every: None,
         resume: false,
         depth: None,
-        trace: false,
         obs: None,
         ..TrainOpts::default()
     };
@@ -222,7 +220,6 @@ fn traced_run_throughput_within_bounds_of_simulation() {
         checkpoint_every: None,
         resume: false,
         depth: None,
-        trace: false,
         obs: Some(session.clone()),
         ..TrainOpts::default()
     };
